@@ -11,7 +11,9 @@ use rand::{Rng, SeedableRng};
 use shahin::{MatchEngine, PerturbationStore};
 use shahin_explain::{perturb_codes, ExplainContext};
 use shahin_fim::{apriori, AprioriParams, Itemset, ItemsetIndex, MatchScratch};
-use shahin_linalg::{constrained_wls, ridge, Matrix};
+use shahin_linalg::{
+    constrained_wls, constrained_wls_binary, ridge, ridge_binary, BitDesign, Matrix,
+};
 use shahin_model::{Classifier, ForestLayout, ForestParams, MajorityClass, RandomForest};
 use shahin_tabular::{DatasetPreset, DiscreteTable};
 
@@ -107,6 +109,15 @@ fn bench_store(c: &mut Criterion) {
     });
 }
 
+/// A random 0/1 design with the given share of ones, bit-packed.
+fn binary_design(n: usize, m: usize, ones_share: f64, rng: &mut StdRng) -> BitDesign {
+    let mut z = BitDesign::with_capacity(n, m);
+    for _ in 0..n {
+        z.push_row(|_| rng.gen_bool(ones_share));
+    }
+    z
+}
+
 fn bench_solvers(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(6);
     let (n, m) = (300, 42);
@@ -120,6 +131,20 @@ fn bench_solvers(c: &mut Criterion) {
     c.bench_function("solve/ridge_300x42", |b| b.iter(|| ridge(&x, &y, &w, 1.0)));
     c.bench_function("solve/constrained_wls_300x42", |b| {
         b.iter(|| constrained_wls(&x, &y, &w, 0.4, 0.9))
+    });
+    // The bit-packed fits the explainers call. Their Gram pass scales with
+    // the pairs of set bits per row, so the sparsity dependence goes on
+    // record: 0.25 is LIME on Census-Income, 0.9 the dense end that the
+    // column complementing caps.
+    for (share, tag) in [(0.25, "25"), (0.5, "50"), (0.9, "90")] {
+        let z = binary_design(n, m, share, &mut rng);
+        c.bench_function(&format!("solve/ridge_binary_300x42/ones_{tag}"), |b| {
+            b.iter(|| ridge_binary(&z, &y, &w, 1.0))
+        });
+    }
+    let z = binary_design(128, m, 0.5, &mut rng);
+    c.bench_function("solve/wls_binary_128x42", |b| {
+        b.iter(|| constrained_wls_binary(&z, &y[..128], &w[..128], 0.4, 0.9))
     });
 }
 

@@ -13,7 +13,7 @@
 //! ascribes to GREEDY: it persists perturbations without *engineering*
 //! them for reuse, unlike Shahin's frequent-itemset freezes.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use shahin_explain::LabeledSample;
 
@@ -47,9 +47,14 @@ fn tag_contained_in(tag: &[(u16, u32)], tuple_codes: &[u32]) -> bool {
 /// LRU cache of labeled perturbations, keyed by their full frozen tag,
 /// with byte-budget accounting. Lookup scans the bucket directory, which
 /// is bounded by the byte budget.
+///
+/// The directory is ordered by tag, so everything that walks it — which
+/// samples a truncated lookup returns, which of several equally stale
+/// buckets is evicted, the order samples are carried over in — is a
+/// function of the cache's contents and a seeded run repeats exactly.
 #[derive(Clone, Debug)]
 pub struct TaggedLruCache {
-    buckets: HashMap<Tag, Bucket>,
+    buckets: BTreeMap<Tag, Bucket>,
     budget: usize,
     used_bytes: usize,
     clock: u64,
@@ -60,7 +65,7 @@ impl TaggedLruCache {
     /// Creates an empty cache with the given byte budget.
     pub fn new(budget_bytes: usize) -> TaggedLruCache {
         TaggedLruCache {
-            buckets: HashMap::new(),
+            buckets: BTreeMap::new(),
             budget: budget_bytes,
             used_bytes: 0,
             clock: 0,
@@ -125,7 +130,7 @@ impl TaggedLruCache {
     /// variant graduates from the warm-up cache to the itemset store).
     pub fn drain_samples(&mut self) -> Vec<LabeledSample> {
         let mut out = Vec::with_capacity(self.n_samples());
-        for (_, mut b) in self.buckets.drain() {
+        for mut b in std::mem::take(&mut self.buckets).into_values() {
             out.append(&mut b.samples);
         }
         self.used_bytes = 0;
@@ -251,6 +256,24 @@ mod tests {
         cache.insert(&[1], sample(&[1], 0.5));
         assert_eq!(cache.n_samples(), 0);
         assert_eq!(cache.used_bytes(), 0);
+    }
+
+    #[test]
+    fn samples_come_out_in_tag_order() {
+        let probas =
+            |samples: Vec<LabeledSample>| -> Vec<f64> { samples.iter().map(|s| s.proba).collect() };
+        let mut cache = TaggedLruCache::new(usize::MAX);
+        // Tags [(0, 7)], [(0, 3)], [] and [(0, 3)] again.
+        cache.insert(&[7, 9], sample(&[7, 0], 0.1));
+        cache.insert(&[3, 9], sample(&[3, 0], 0.2));
+        cache.insert(&[5, 9], sample(&[4, 0], 0.3));
+        cache.insert(&[3, 8], sample(&[3, 1], 0.4));
+        let expected = vec![0.3, 0.2, 0.4, 0.1];
+        assert_eq!(probas(cache.samples_cloned()), expected);
+        // A truncated lookup walks the same order.
+        let hits: Vec<f64> = cache.lookup(&[3, 9], 2).iter().map(|s| s.proba).collect();
+        assert_eq!(hits, vec![0.3, 0.2]);
+        assert_eq!(probas(cache.drain_samples()), expected);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use rand::Rng;
 
 use shahin_fim::Itemset;
-use shahin_linalg::{default_kernel_width, exponential_kernel, ridge, Matrix};
+use shahin_linalg::{default_kernel_width, exponential_kernel, ridge_binary, BitDesign, RidgeFit};
 use shahin_model::Classifier;
 use shahin_tabular::Feature;
 
@@ -107,15 +107,12 @@ impl LimeExplainer {
         assert_eq!(instance.len(), m, "instance arity mismatch");
         assert!(self.params.n_samples >= 2, "need at least 2 samples");
         let inst_codes = ctx.discretizer().encode_instance(instance);
-        let width = self
-            .params
-            .kernel_width
-            .unwrap_or_else(|| default_kernel_width(m));
+        let kernel = self.kernel_by_zeros(m);
 
         let n = self.params.n_samples;
-        let mut z = Matrix::zeros(n, m);
-        let mut y = vec![0.0; n];
-        let mut w = vec![0.0; n];
+        let mut z = BitDesign::with_capacity(n, m);
+        let mut y = Vec::with_capacity(n);
+        let mut w = Vec::with_capacity(n);
 
         let mut stats = ReuseStats {
             invocations: 1, // the instance probe below
@@ -124,12 +121,12 @@ impl LimeExplainer {
 
         // Row 0: the instance itself (all-ones interpretable vector).
         let fx = sanitize_proba(clf.predict_proba(instance), &mut stats);
-        z.row_mut(0).fill(1.0);
-        y[0] = fx;
-        w[0] = 1.0;
+        z.push_row(|_| true);
+        y.push(fx);
+        w.push(kernel[0]);
         let mut reused = reused.into_iter();
         let empty = Itemset::new(vec![]);
-        for row in 1..n {
+        for _ in 1..n {
             let fresh;
             let (codes, proba): (&[u32], f64) = match reused.next() {
                 Some(s) => {
@@ -144,30 +141,13 @@ impl LimeExplainer {
                 }
             };
             // Binary interpretable representation + distance.
-            let mut zeros = 0usize;
-            let zrow = z.row_mut(row);
-            for j in 0..m {
-                if codes[j] == inst_codes[j] {
-                    zrow[j] = 1.0;
-                } else {
-                    zeros += 1;
-                }
-            }
-            y[row] = sanitize_proba(proba, &mut stats);
-            let distance = (zeros as f64).sqrt();
-            w[row] = exponential_kernel(distance, width);
+            let ones = z.push_row(|j| codes[j] == inst_codes[j]);
+            y.push(sanitize_proba(proba, &mut stats));
+            w.push(kernel[m - ones]);
         }
 
-        let fit = ridge(&z, &y, &w, self.params.alpha);
-        let local_prediction = fit.predict(&vec![1.0; m]);
-        (
-            FeatureWeights {
-                weights: fit.coefficients,
-                intercept: fit.intercept,
-                local_prediction,
-            },
-            stats,
-        )
+        let fit = ridge_binary(&z, &y, &w, self.params.alpha);
+        (surrogate_weights(fit, m), stats)
     }
 
     /// Approximate LIME with adaptive early stopping (the paper's §6
@@ -194,37 +174,28 @@ impl LimeExplainer {
         assert!(check_every >= 2, "check_every must be at least 2");
         assert!(tolerance > 0.0, "tolerance must be positive");
         let inst_codes = ctx.discretizer().encode_instance(instance);
-        let width = self
-            .params
-            .kernel_width
-            .unwrap_or_else(|| default_kernel_width(m));
+        let kernel = self.kernel_by_zeros(m);
         let empty = Itemset::new(vec![]);
 
-        let fx = clf.predict_proba(instance);
-        let mut z_rows: Vec<Vec<f64>> = vec![vec![1.0; m]];
+        // Dropped on purpose: the adaptive variant returns no accounting, so
+        // the count of clamped labels goes nowhere. Only the clamping matters.
+        let mut stats = ReuseStats::default();
+        let fx = sanitize_proba(clf.predict_proba(instance), &mut stats);
+        let mut z = BitDesign::with_capacity(self.params.n_samples, m);
+        z.push_row(|_| true);
         let mut y = vec![fx];
-        let mut w = vec![1.0];
+        let mut w = vec![kernel[0]];
         let mut prev: Option<Vec<f64>> = None;
         let mut fit = None;
 
         while y.len() < self.params.n_samples {
             for _ in 0..check_every.min(self.params.n_samples - y.len()) {
                 let s = labeled_perturbation(ctx, clf, &empty, rng);
-                let mut zeros = 0usize;
-                let mut zrow = vec![0.0; m];
-                for j in 0..m {
-                    if s.codes[j] == inst_codes[j] {
-                        zrow[j] = 1.0;
-                    } else {
-                        zeros += 1;
-                    }
-                }
-                z_rows.push(zrow);
-                y.push(s.proba);
-                w.push(exponential_kernel((zeros as f64).sqrt(), width));
+                let ones = z.push_row(|j| s.codes[j] == inst_codes[j]);
+                y.push(sanitize_proba(s.proba, &mut stats));
+                w.push(kernel[m - ones]);
             }
-            let z = Matrix::from_rows(z_rows.len(), m, z_rows.iter().flatten().copied().collect());
-            let f = ridge(&z, &y, &w, self.params.alpha);
+            let f = ridge_binary(&z, &y, &w, self.params.alpha);
             let converged = prev.as_ref().is_some_and(|p| {
                 f.coefficients
                     .iter()
@@ -240,16 +211,32 @@ impl LimeExplainer {
             }
         }
         let fit = fit.expect("at least one round ran");
-        let n_used = y.len();
-        let local_prediction = fit.predict(&vec![1.0; m]);
-        (
-            FeatureWeights {
-                weights: fit.coefficients,
-                intercept: fit.intercept,
-                local_prediction,
-            },
-            n_used,
-        )
+        (surrogate_weights(fit, m), y.len())
+    }
+
+    /// The proximity weight of a perturbation by its number of attributes
+    /// that differ from the instance (its squared distance in the binary
+    /// interpretable space): `m + 1` kernel evaluations per explanation
+    /// instead of one per row.
+    fn kernel_by_zeros(&self, m: usize) -> Vec<f64> {
+        let width = self
+            .params
+            .kernel_width
+            .unwrap_or_else(|| default_kernel_width(m));
+        (0..=m)
+            .map(|zeros| exponential_kernel((zeros as f64).sqrt(), width))
+            .collect()
+    }
+}
+
+/// The explanation a fitted surrogate stands for; the local prediction is
+/// the surrogate evaluated at the instance (the all-ones vector).
+fn surrogate_weights(fit: RidgeFit, m: usize) -> FeatureWeights {
+    let local_prediction = fit.predict(&vec![1.0; m]);
+    FeatureWeights {
+        weights: fit.coefficients,
+        intercept: fit.intercept,
+        local_prediction,
     }
 }
 
@@ -420,6 +407,36 @@ mod tests {
         assert!(n_used < 2000, "no early stop: used {n_used}");
         assert_eq!(clf.invocations(), n_used as u64);
         assert!(e.weights.iter().all(|v| v.abs() < 0.05), "{:?}", e.weights);
+    }
+
+    #[test]
+    fn adaptive_lime_survives_a_nan_emitting_classifier() {
+        /// Answers NaN on every third call, like a model that divides by
+        /// an empty leaf.
+        struct SometimesNan(std::sync::atomic::AtomicU64);
+        impl Classifier for SometimesNan {
+            fn predict_proba(&self, instance: &[Feature]) -> f64 {
+                let call = self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if call % 3 == 2 {
+                    f64::NAN
+                } else {
+                    f64::from(instance[0].cat() == 0)
+                }
+            }
+        }
+        let (ctx, data) = small_ctx();
+        let lime = LimeExplainer::new(LimeParams {
+            n_samples: 400,
+            ..Default::default()
+        });
+        let clf = SometimesNan(Default::default());
+        let mut rng = StdRng::seed_from_u64(23);
+        let (e, n_used) = lime.explain_adaptive(&ctx, &clf, &data.instance(0), 100, 1e-6, &mut rng);
+        assert!(n_used >= 200, "needs two rounds to compare: {n_used}");
+        assert!(
+            e.weights.iter().all(|v| v.is_finite()) && e.intercept.is_finite(),
+            "one NaN label poisoned the fit: {e:?}"
+        );
     }
 
     #[test]

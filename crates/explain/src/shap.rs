@@ -19,7 +19,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use shahin_fim::{Item, Itemset};
-use shahin_linalg::{constrained_wls, shap_kernel_weight, Matrix};
+use shahin_linalg::{constrained_wls_binary, shap_kernel_weight, BitDesign};
 use shahin_model::Classifier;
 use shahin_tabular::Feature;
 
@@ -199,16 +199,13 @@ impl KernelShapExplainer {
         // weights uniform; the uniform-size ablation must instead weight
         // each row by its size's kernel mass to stay unbiased.
         let rows = samples.len();
-        let mut z = Matrix::zeros(rows, m);
-        let mut y = vec![0.0; rows];
-        for (r, s) in samples.iter().enumerate() {
-            let zrow = z.row_mut(r);
-            for &a in &s.coalition {
-                zrow[a as usize] = 1.0;
-            }
+        let mut z = BitDesign::with_capacity(rows, m);
+        let mut y = Vec::with_capacity(rows);
+        for s in &samples {
+            z.push_row_of(s.coalition.iter().map(|&a| a as usize));
             // Sanitizing here covers pooled, source-fetched, and fresh
             // labels uniformly (each bad value counted once).
-            y[r] = sanitize_proba(s.proba, &mut stats);
+            y.push(sanitize_proba(s.proba, &mut stats));
         }
         let weights: Vec<f64> = if self.params.uniform_sizes {
             samples
@@ -221,7 +218,7 @@ impl KernelShapExplainer {
         } else {
             vec![1.0; rows]
         };
-        let phi = constrained_wls(&z, &y, &weights, base, fx);
+        let phi = constrained_wls_binary(&z, &y, &weights, base, fx);
         (
             FeatureWeights {
                 weights: phi,

@@ -13,11 +13,15 @@
 //! * [`constrained_wls`] — equality-constrained weighted least squares,
 //!   KernelSHAP's surrogate (the efficiency constraint
 //!   `Σ φ_j = f(x) − E[f]` is eliminated analytically),
+//! * [`BitDesign`], [`ridge_binary`], [`constrained_wls_binary`] — the same
+//!   two fits for the explainers' 0/1 interpretable designs, from bit-packed
+//!   row masks (what LIME and KernelSHAP actually call),
 //! * [`kernel`] — LIME's exponential kernel and the SHAP kernel (Eq. 1 of
 //!   the paper),
 //! * [`fidelity`] — Euclidean-distance and Kendall-τ explanation fidelity
 //!   metrics (§4.2 "Explanation Quality").
 
+pub mod binary;
 pub mod fidelity;
 pub mod kernel;
 pub mod matrix;
@@ -25,6 +29,7 @@ pub mod ridge;
 pub mod solve;
 pub mod wls;
 
+pub use binary::{constrained_wls_binary, ridge_binary, BitDesign};
 pub use fidelity::{euclidean_distance, kendall_tau, rank_by_magnitude};
 pub use kernel::{binomial, default_kernel_width, exponential_kernel, shap_kernel_weight};
 pub use matrix::Matrix;

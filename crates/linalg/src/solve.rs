@@ -20,43 +20,53 @@ pub fn solve_spd(a: &Matrix, b: &[f64]) -> Vec<f64> {
     let max_diag = (0..n).map(|i| a[(i, i)].abs()).fold(0.0f64, f64::max);
     let eps = (max_diag.max(1.0)) * 1e-12;
 
-    // LDLᵀ: A = L D Lᵀ with unit lower-triangular L.
-    let mut l = Matrix::zeros(n, n);
+    // LDLᵀ: A = L D Lᵀ with unit lower-triangular L, stored transposed
+    // (row `k` of `lt` is column `k` of L) so that column `j` is updated
+    // from the finished columns `k < j` over contiguous slices. Every
+    // entry still sees its subtractions in ascending `k`.
+    let mut lt = vec![0.0; n * n];
     let mut d = vec![0.0; n];
     for j in 0..n {
-        let mut dj = a[(j, j)];
-        for k in 0..j {
-            dj -= l[(j, k)] * l[(j, k)] * d[k];
+        let (done, rest) = lt.split_at_mut(j * n);
+        let col = &mut rest[j..n];
+        for (v, i) in col.iter_mut().zip(j..n) {
+            *v = a.row(i)[j];
         }
+        for (lk, &dk) in done.chunks_exact(n).zip(&d) {
+            let ljk = lk[j];
+            for (v, &lik) in col.iter_mut().zip(&lk[j..]) {
+                *v -= lik * ljk * dk;
+            }
+        }
+        let mut dj = col[0];
         if dj.abs() < eps {
             dj = eps; // jitter a collapsed pivot
         }
         d[j] = dj;
-        l[(j, j)] = 1.0;
-        for i in (j + 1)..n {
-            let mut v = a[(i, j)];
-            for k in 0..j {
-                v -= l[(i, k)] * l[(j, k)] * d[k];
-            }
-            l[(i, j)] = v / dj;
+        col[0] = 1.0;
+        for v in &mut col[1..] {
+            *v /= dj;
         }
     }
 
     // Forward solve L z = b.
     let mut z = b.to_vec();
-    for i in 0..n {
-        for k in 0..i {
-            z[i] -= l[(i, k)] * z[k];
+    for (k, lk) in lt.chunks_exact(n).enumerate() {
+        let (head, tail) = z.split_at_mut(k + 1);
+        let zk = head[k];
+        for (zi, &lik) in tail.iter_mut().zip(&lk[k + 1..]) {
+            *zi -= lik * zk;
         }
     }
     // Diagonal solve D w = z.
-    for i in 0..n {
-        z[i] /= d[i];
+    for (zi, &di) in z.iter_mut().zip(&d) {
+        *zi /= di;
     }
     // Back solve Lᵀ x = w.
     for i in (0..n).rev() {
-        for k in (i + 1)..n {
-            z[i] -= l[(k, i)] * z[k];
+        let (head, tail) = z.split_at_mut(i + 1);
+        for (&lki, &zk) in lt[i * n + i + 1..(i + 1) * n].iter().zip(&*tail) {
+            head[i] -= lki * zk;
         }
     }
     z
