@@ -1,11 +1,11 @@
-//! Serving load generator: warm micro-batching server vs cold
+//! Serving load generator: warm worker-pool server vs cold
 //! per-request batch invocation. Emits `BENCH_serve.json`.
 //!
 //! The **warm** arm primes a [`shahin::WarmEngine`] over the warm set,
 //! starts a `shahin-serve` TCP server on an ephemeral loopback port, and
 //! drives it with closed-loop clients (each sends a request, waits for
-//! the response, repeats). Concurrent clients get coalesced into
-//! micro-batches that share the resident perturbation store.
+//! the response, repeats). Concurrent clients are answered by the
+//! server's worker pool against the resident perturbation store.
 //!
 //! The **cold** arm answers the *same* request sequence the way the
 //! offline drivers would: one `ShahinBatch::explain_lime` per request
@@ -27,7 +27,7 @@
 //!   frame after the run when set to 1.
 //!
 //! A third **scrape** arm measures the live observability plane: a
-//! closed-loop load (`SHAHIN_OBS_LIVE_REQUESTS`, default 12x the serve
+//! closed-loop load (`SHAHIN_OBS_LIVE_REQUESTS`, default 120x the serve
 //! arms so each drive spans several scrape intervals) is driven twice per
 //! repetition against one warm server — once bare, once with a sidecar
 //! client polling the `metrics` admin frame every
@@ -36,7 +36,7 @@
 //! the median of the per-repetition paired overheads is taken (each
 //! pair's drives are adjacent in time, so machine-state drift cancels,
 //! and the median sheds scheduler outliers). The run asserts scraping
-//! costs < `SHAHIN_OBS_LIVE_BUDGET_PCT` (default 1%) of throughput and
+//! costs < `SHAHIN_OBS_LIVE_BUDGET_PCT` (default 3%) of throughput and
 //! emits `SHAHIN_OBS_LIVE_OUT` (default `BENCH_obs_live.json`), gated
 //! in CI by `bench_compare obs_live`. `SHAHIN_OBS_LIVE_REPS` (default
 //! 7) sets the repetitions.
@@ -46,9 +46,17 @@
 //! (`trace_store: 0`), one at the default tail-sampling configuration —
 //! and paired order-alternating drives (`SHAHIN_TRACE_REQUESTS`,
 //! `SHAHIN_TRACE_REPS`) yield a median overhead asserted below
-//! `SHAHIN_TRACE_BUDGET_PCT` (default 1%) and written to
+//! `SHAHIN_TRACE_BUDGET_PCT` (default 3%) and written to
 //! `SHAHIN_TRACE_OUT` (default `BENCH_trace.json`), gated in CI by
 //! `bench_compare trace`.
+//!
+//! Both budgets were 1% while every request sat out a 5 ms batch window:
+//! the fixed wait made drive throughput nearly deterministic and hid
+//! everything else. At ~150 µs per round trip the same ~2 µs of tracing
+//! work is ~1.3% of a request, and paired drives on a 2-core box
+//! resolve no better than about ±2%, so 3% is the tightest bound this
+//! estimator can hold without flaking; it still catches a tracing or
+//! scraping change that costs a request more than a few microseconds.
 //!
 //! A fifth **persist** arm is the restart drill: a donor engine primes,
 //! answers a deterministic request sequence, and snapshots its warm
@@ -294,7 +302,7 @@ fn main() {
         preset.name()
     );
 
-    // ---- Warm arm: micro-batching server over a primed repository. ----
+    // ---- Warm arm: worker-pool server over a primed repository. ----
     let warm_stats = {
         let w = workload(preset, 0.2, seed);
         let warm_rows = warm_rows.min(w.max_batch());
@@ -314,14 +322,7 @@ fn main() {
         let prime_invocations = engine.invocations();
         println!("warm: primed ({prime_invocations} invocations)");
         let engine_for_stats = Arc::clone(&engine);
-        let handle = Server::start(
-            engine,
-            ServeConfig {
-                max_delay: Duration::from_millis(2),
-                ..Default::default()
-            },
-        )
-        .expect("server binds");
+        let handle = Server::start(engine, ServeConfig::default()).expect("server binds");
         let addr = handle.addr().to_string();
         let (wall_s, latencies_ms) = drive_clients(&addr, concurrency, requests, seed, warm_rows);
         handle.shutdown();
@@ -422,15 +423,16 @@ fn main() {
     let scrape_ms = env_u64("SHAHIN_OBS_LIVE_SCRAPE_MS", 500).max(1);
     // Each drive must be long enough that a sub-1% throughput delta is
     // measurable at all (and spans several scrape intervals), so this
-    // arm defaults to 12x the serve arms' request count (still rounded
-    // to a multiple of the client count).
+    // arm defaults to 120x the serve arms' request count (still rounded
+    // to a multiple of the client count): ~1.5 s per drive at the
+    // ~6 000 req/s four closed-loop clients reach without a batch window.
     let obs_requests =
-        (env_u64("SHAHIN_OBS_LIVE_REQUESTS", 12 * requests as u64) as usize / concurrency).max(1)
+        (env_u64("SHAHIN_OBS_LIVE_REQUESTS", 120 * requests as u64) as usize / concurrency).max(1)
             * concurrency;
     let budget_pct = std::env::var("SHAHIN_OBS_LIVE_BUDGET_PCT")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1.0);
+        .unwrap_or(3.0);
     println!(
         "# Scrape overhead: {obs_requests} requests/drive, {reps} reps, \
          metrics poll every {scrape_ms} ms"
@@ -450,14 +452,9 @@ fn main() {
             seed,
             &reg,
         ));
-        // A generous max_delay makes every micro-batch reliably gather
-        // all closed-loop clients, which removes batch-composition
-        // jitter from the throughput signal — this arm measures the
-        // *scraping* delta, and needs the quietest possible baseline.
         let handle = Server::start(
             engine,
             ServeConfig {
-                max_delay: Duration::from_millis(5),
                 monitor_interval: Duration::from_millis(50),
                 windows: 32,
                 ..Default::default()
@@ -581,12 +578,12 @@ fn main() {
     let trace_out = std::env::var("SHAHIN_TRACE_OUT").unwrap_or_else(|_| "BENCH_trace.json".into());
     let trace_reps = (env_u64("SHAHIN_TRACE_REPS", 7) as usize).max(1);
     let trace_requests =
-        (env_u64("SHAHIN_TRACE_REQUESTS", 12 * requests as u64) as usize / concurrency).max(1)
+        (env_u64("SHAHIN_TRACE_REQUESTS", 120 * requests as u64) as usize / concurrency).max(1)
             * concurrency;
     let trace_budget_pct = std::env::var("SHAHIN_TRACE_BUDGET_PCT")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1.0);
+        .unwrap_or(3.0);
     println!(
         "# Tracing overhead: {trace_requests} requests/drive, {trace_reps} reps, \
          default tail sampling"
@@ -611,7 +608,6 @@ fn main() {
         // engine's stage capture stays dormant on its path, and sharing
         // keeps the warm store identical between arms.
         let quiet = ServeConfig {
-            max_delay: Duration::from_millis(5),
             monitor_interval: Duration::from_millis(50),
             windows: 32,
             ..Default::default()
@@ -722,7 +718,7 @@ fn main() {
     let persist_out =
         std::env::var("SHAHIN_PERSIST_OUT").unwrap_or_else(|_| "BENCH_persist.json".into());
     // Distinct rows keep serve-time invocation counts deterministic:
-    // duplicate rows inside one micro-batch would race on who inserts the
+    // duplicate rows in flight at once would race on who inserts the
     // fresh perturbations first, and this arm gates counts exactly.
     let persist_requests = (env_u64("SHAHIN_PERSIST_REQUESTS", requests as u64) as usize)
         .min(env_u64("SHAHIN_SERVE_WARM_ROWS", 200) as usize);
@@ -951,7 +947,6 @@ fn main() {
     let handle = Server::start_cluster(
         cluster,
         ServeConfig {
-            max_delay: Duration::from_millis(2),
             poll_interval: Duration::from_millis(10),
             monitor_interval: Duration::from_millis(50),
             ..Default::default()

@@ -79,7 +79,7 @@ pub use metrics::{
 pub use obs::{
     fold_provenance, register_standard, trace_sampled, EventSink, MetricsRegistry,
     MetricsSnapshot, ProvenanceRecord, ProvenanceSink, RequestTrace, StageSpan, TraceContext,
-    TraceCounters, TraceSink, TraceSpan, TraceStore, TraceStoreConfig,
+    TraceCounters, TraceSpan, TraceStore, TraceStoreConfig,
 };
 pub use parallel::chunks;
 pub use runner::{
@@ -92,4 +92,4 @@ pub use streaming::ShahinStreaming;
 pub use summarize::{
     summarize_attributions, summarize_rules, top_k_overlap, AttributionSummary, RuleSummary,
 };
-pub use warm::{WarmEngine, WarmExplainer, WarmOutcome, WarmRequest};
+pub use warm::{WarmEngine, WarmExplainer, WarmOutcome, WarmRequest, WarmWorker};

@@ -9,7 +9,7 @@ pub use shahin_obs::{
     bucket_index, bucket_upper_ns, current_thread_id, trace_sampled, Counter, EventRecord,
     EventSink, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
     ProvenanceRecord, ProvenanceSink, ProvenanceTotals, RequestTrace, Span, StageSpan,
-    TraceContext, TraceCounters, TraceSink, TraceSpan, TraceStore, TraceStoreConfig,
+    TraceContext, TraceCounters, TraceSpan, TraceStore, TraceStoreConfig,
     ValueHistogram, N_BUCKETS, SPAN_PREFIX,
 };
 
@@ -131,7 +131,8 @@ pub mod names {
 
     /// Explain requests admitted by the serve front end.
     pub const SERVE_REQUESTS: &str = "serve.requests";
-    /// Micro-batches flushed by the batcher thread.
+    /// Requests picked up by a worker (the name predates the worker
+    /// pool, when the unit of pickup was a micro-batch).
     pub const SERVE_BATCHES: &str = "serve.batches";
     /// Requests rejected with a 429-style frame because the admission
     /// queue was full.
@@ -151,17 +152,18 @@ pub mod names {
     pub const SERVE_QUARANTINED: &str = "serve.quarantined";
     /// Connections accepted over the lifetime of the server.
     pub const SERVE_CONNECTIONS: &str = "serve.connections";
-    /// Warm-store refresh rounds triggered by the serve batcher.
+    /// Warm-store refresh rounds triggered by the serve workers.
     pub const SERVE_REFRESHES: &str = "serve.refreshes";
     /// Requests waiting in the admission queue right now (gauge).
     pub const SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
     /// Requests drained (still answered) after shutdown began (gauge).
     pub const SERVE_DRAINED: &str = "serve.drained";
-    /// Micro-batch size distribution (unitless value histogram: one
-    /// sample per flush, value = number of requests in the batch).
+    /// Requests per worker pickup (unitless value histogram: one sample
+    /// of 1 per pickup, so count == `serve.batches` and sum == requests
+    /// picked up).
     pub const SERVE_BATCH_SIZE: &str = "serve.batch_size";
-    /// Time a request spent in the admission queue before its batch was
-    /// flushed (histogram, ns).
+    /// Time a request spent in the admission queue before a worker
+    /// picked it up (histogram, ns).
     pub const SERVE_QUEUE_WAIT: &str = "serve.queue_wait";
     /// End-to-end per-request latency, admission to response write
     /// (histogram, ns).
@@ -175,8 +177,8 @@ pub mod names {
     /// Reader threads currently attached to live client connections
     /// (gauge, sampled by the monitor from the server's atomic).
     pub const SERVE_LIVE_CONNECTIONS: &str = "serve.live_connections";
-    /// Requests currently being explained by the batcher (gauge: batch
-    /// size while a flush is in flight, 0 between flushes).
+    /// Workers handling a request right now (gauge, 0 when the pool is
+    /// idle).
     pub const SERVE_BATCH_INFLIGHT: &str = "serve.batch_inflight";
     /// Itemset entries resident in the warm perturbation store (gauge,
     /// sampled by the monitor each tick).

@@ -4,10 +4,12 @@
 //! repository per invocation and throws it away — exactly backwards for a
 //! service answering a stream of explain requests. [`WarmEngine`] primes
 //! the repository once over a *warm set* (the rows the service can be
-//! asked about), then explains arbitrary micro-batches of those rows
-//! against the resident [`PerturbationStore`] and lock-striped
-//! [`SharedAnchorCaches`], so the materialization cost amortizes across
-//! requests instead of within one batch.
+//! asked about), then explains requests for those rows — one at a time
+//! ([`WarmEngine::explain_request`], the serve workers' entry) or in
+//! offline batches ([`WarmEngine::explain`]) — against the resident
+//! [`PerturbationStore`] and lock-striped [`SharedAnchorCaches`], so the
+//! materialization cost amortizes across requests instead of within one
+//! batch.
 //!
 //! # Determinism
 //!
@@ -15,19 +17,19 @@
 //! drivers bit-for-bit: the store is materialized by the same
 //! `prepare(..)` with the same `(config, seed)`, and each tuple's RNG
 //! stream is derived from its *global* warm-set row index via
-//! [`per_tuple_seed`] — never from its position inside a micro-batch. A
-//! row therefore gets the same LIME/SHAP explanation no matter how
-//! requests are coalesced, how many worker threads run, or when the
-//! request arrives (Anchor rules are stable for crisp classifiers; its
+//! [`per_tuple_seed`] — never from its position inside a batch. A row
+//! therefore gets the same LIME/SHAP explanation no matter which worker
+//! thread picks the request up, how many run, or when the request
+//! arrives (Anchor rules are stable for crisp classifiers; its
 //! invocation counts race, as in the offline parallel driver).
 //!
 //! # Refresh epochs
 //!
 //! [`WarmEngine::refresh`] rebuilds the store (same seed — bit-identical
 //! contents) and bumps the provenance epoch, mirroring the streaming
-//! driver's refresh rounds; the serve batcher calls it every
-//! `refresh_every` micro-batches to bound staleness once warm sets become
-//! mutable.
+//! driver's refresh rounds; the serve workers call it every
+//! `refresh_every` answered requests to bound staleness once warm sets
+//! become mutable.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +50,7 @@ use crate::batch::{estimate_base_value_guarded, ShahinBatch};
 use crate::config::{BatchConfig, Miner};
 use crate::metrics::TupleFailure;
 use crate::obs::{
-    names, register_standard, MetricsRegistry, ProvenanceCtx, StageSpan, TraceCounters, TraceSink,
+    names, register_standard, Histogram, MetricsRegistry, ProvenanceCtx, StageSpan, TraceCounters,
 };
 use crate::parallel::chunks;
 use crate::quarantine::{guard_tuple, QuarantineObs, TupleOutcome};
@@ -104,11 +106,11 @@ pub struct WarmRequest {
     /// Serving request id for provenance tagging.
     pub request_id: u64,
     /// Trace id of the request's [`shahin_obs::RequestTrace`], if the
-    /// serve layer is tracing it. When set (and the registry carries a
-    /// [`TraceSink`]), the worker deposits per-stage [`StageSpan`]s —
-    /// `retrieve`, `classify`, `explain` — keyed by this id, which the
-    /// serve batcher collects into the request's span tree. `None` keeps
-    /// the engine-side tracing cost at one branch per stage.
+    /// serve layer is tracing it. When set, the engine records per-stage
+    /// [`StageSpan`]s — `retrieve`, `classify`, `explain` — into the
+    /// [`WarmWorker`] it was handed ([`WarmWorker::stages`]), which the
+    /// serve worker folds into the request's span tree. `None` keeps the
+    /// engine-side tracing cost at one branch per stage.
     pub trace: Option<u64>,
 }
 
@@ -123,8 +125,8 @@ pub enum WarmOutcome {
         /// Explained under duress (retries absorbed, outputs sanitized).
         degraded: bool,
     },
-    /// A panic unwound out of the tuple; it is quarantined and the other
-    /// requests in the micro-batch are unaffected.
+    /// A panic unwound out of the tuple; it is quarantined and no other
+    /// request is affected.
     Failed(TupleFailure),
 }
 
@@ -325,8 +327,8 @@ impl<C: Classifier> WarmEngine<C> {
     }
 
     /// Resolved worker count ([`BatchConfig::resolved_n_threads`]) —
-    /// also the shard count the serve cluster partitions this engine's
-    /// requests into.
+    /// the chunk count of [`WarmEngine::explain`], and the size of the
+    /// worker pool a single-engine server starts.
     pub fn n_workers(&self) -> usize {
         self.shahin.config.resolved_n_threads()
     }
@@ -583,169 +585,91 @@ impl<C: Classifier> WarmEngine<C> {
         }
     }
 
-    /// Explains one micro-batch against the warm repository, spreading
-    /// the requests over [`BatchConfig::n_threads`] workers. Outcomes are
-    /// returned in request order; a quarantined tuple fails only its own
-    /// slot. Rows must be `< n_rows()` (the serve layer validates before
-    /// admission; this panics on out-of-range rows).
-    pub fn explain(&self, requests: &[WarmRequest]) -> Vec<WarmOutcome> {
-        let n_threads = self.shahin.config.resolved_n_threads();
-        let mut assign = vec![0usize; requests.len()];
-        for (worker, (start, end)) in chunks(requests.len(), n_threads).into_iter().enumerate() {
-            for a in &mut assign[start..end] {
-                *a = worker;
-            }
+    /// A fresh per-worker context: resolve once per worker thread, reuse
+    /// across every request that thread explains on this engine.
+    pub fn worker(&self) -> WarmWorker {
+        WarmWorker {
+            retrieve_hist: self.obs.span_histogram(names::SPAN_RETRIEVE_MATCH),
+            surrogate_hist: self.obs.span_histogram(names::SPAN_SURROGATE_FIT),
+            prov: ProvenanceCtx::new(&self.obs, "Shahin-Serve", self.explainer.name())
+                .with_tenant(self.tenant.clone()),
+            quarantine: QuarantineObs::new(&self.obs),
+            stages: Vec::new(),
+            scratch: MatchScratch::new(),
         }
-        self.explain_assigned(requests, &assign, n_threads)
     }
 
-    /// [`WarmEngine::explain`] with an explicit request→worker
-    /// assignment: request `i` is explained by worker `assign[i]`
-    /// (`assign[i] < n_workers`). The serve cluster routes each request
-    /// to the worker its row's shard hashes to, so a row's store
-    /// neighborhood stays on one worker's cache. Outcomes are returned
-    /// in request order and are bit-identical to [`WarmEngine::explain`]
-    /// under *any* assignment: each tuple's RNG stream is a function of
-    /// its global row alone, and workers only read the shared state.
-    pub fn explain_assigned(
-        &self,
-        requests: &[WarmRequest],
-        assign: &[usize],
-        n_workers: usize,
-    ) -> Vec<WarmOutcome> {
-        assert_eq!(assign.len(), requests.len(), "one worker per request");
-        let state = self.state.read();
-        let table = &state.table;
-        let store = &state.store;
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        let retrieve_hist = self.obs.span_histogram(names::SPAN_RETRIEVE_MATCH);
-        let surrogate_hist = self.obs.span_histogram(names::SPAN_SURROGATE_FIT);
-        let prov = ProvenanceCtx::new(&self.obs, "Shahin-Serve", self.explainer.name())
-            .with_tenant(self.tenant.clone());
-        let quarantine = QuarantineObs::new(&self.obs);
-        let traces = self.obs.trace_sink();
-
-        let mut by_worker: Vec<Vec<usize>> = vec![Vec::new(); n_workers.max(1)];
-        for (i, &worker) in assign.iter().enumerate() {
-            by_worker[worker].push(i);
+    /// Explains a batch of requests against the warm repository — the
+    /// offline form of [`WarmEngine::explain_request`]. Outcomes come
+    /// back in request order; a quarantined tuple fails only its own
+    /// slot. Runs on the calling thread when the batch resolves to one
+    /// chunk (one request, or `n_threads = 1`), otherwise on one scoped
+    /// thread per chunk of [`BatchConfig::n_threads`]. Rows must be
+    /// `< n_rows()` (this panics on out-of-range rows).
+    pub fn explain(&self, requests: &[WarmRequest]) -> Vec<WarmOutcome> {
+        let run = |requests: &[WarmRequest]| -> Vec<WarmOutcome> {
+            let mut worker = self.worker();
+            requests
+                .iter()
+                .map(|&req| self.explain_request(req, &mut worker))
+                .collect()
+        };
+        let chunks = chunks(requests.len(), self.n_workers());
+        if chunks.len() <= 1 {
+            return run(requests);
         }
-        let mut results: Vec<Vec<(usize, TupleOutcome<Explanation>)>> =
-            (0..by_worker.len()).map(|_| Vec::new()).collect();
+        let mut parts: Vec<Vec<WarmOutcome>> = vec![Vec::new(); chunks.len()];
         std::thread::scope(|scope| {
-            for (worker, (idxs, out)) in by_worker.iter().zip(results.iter_mut()).enumerate() {
-                if idxs.is_empty() {
-                    continue;
-                }
-                let retrieve_hist = retrieve_hist.clone();
-                let surrogate_hist = surrogate_hist.clone();
-                let prov = prov.clone();
-                let quarantine = quarantine.clone();
-                let traces = traces.clone();
+            for (i, (&(start, end), out)) in chunks.iter().zip(parts.iter_mut()).enumerate() {
+                let run = &run;
                 std::thread::Builder::new()
-                    .name(format!("worker-{worker}"))
-                    .spawn_scoped(scope, move || {
-                        let mut scratch = MatchScratch::new();
-                        for &i in idxs {
-                            out.push((
-                                i,
-                                self.explain_one(
-                                    requests[i],
-                                    epoch,
-                                    table,
-                                    store,
-                                    &retrieve_hist,
-                                    &surrogate_hist,
-                                    &prov,
-                                    &quarantine,
-                                    traces.as_deref(),
-                                    &mut scratch,
-                                ),
-                            ));
-                        }
-                    })
+                    .name(format!("worker-{i}"))
+                    .spawn_scoped(scope, move || *out = run(&requests[start..end]))
                     .expect("spawn warm worker");
             }
         });
-
-        let mut slots: Vec<Option<TupleOutcome<Explanation>>> =
-            (0..requests.len()).map(|_| None).collect();
-        for (i, outcome) in results.into_iter().flatten() {
-            slots[i] = Some(outcome);
-        }
-        slots
-            .into_iter()
-            .map(|slot| match slot.expect("every request visited") {
-                TupleOutcome::Ok(explanation) => WarmOutcome::Ok {
-                    explanation,
-                    degraded: false,
-                },
-                TupleOutcome::Degraded(explanation) => WarmOutcome::Ok {
-                    explanation,
-                    degraded: true,
-                },
-                TupleOutcome::Failed(failure) => WarmOutcome::Failed(failure),
-            })
-            .collect()
+        parts.into_iter().flatten().collect()
     }
 
-    /// One guarded tuple: the offline parallel drivers' worker body,
-    /// keyed on the *global* warm-set row so the explanation is identical
-    /// to the offline run regardless of micro-batch composition.
-    #[allow(clippy::too_many_arguments)]
-    fn explain_one(
-        &self,
-        req: WarmRequest,
-        epoch: u64,
-        table: &DiscreteTable,
-        store: &PerturbationStore,
-        retrieve_hist: &crate::obs::Histogram,
-        surrogate_hist: &crate::obs::Histogram,
-        prov: &ProvenanceCtx,
-        quarantine: &QuarantineObs,
-        traces: Option<&TraceSink>,
-        scratch: &mut MatchScratch,
-    ) -> TupleOutcome<Explanation> {
+    /// Explains one request on the calling thread — the serve workers'
+    /// entry point, and the offline parallel drivers' guarded per-tuple
+    /// body over the resident store. Everything is keyed on the *global* warm-set row, so the
+    /// explanation is bit-identical to the offline run no matter which
+    /// thread runs it, when, or beside which other requests; the tuple's
+    /// RNG stream is a function of the row alone and the shared state is
+    /// only read. A panic unwinding out of the tuple quarantines it.
+    pub fn explain_request(&self, req: WarmRequest, worker: &mut WarmWorker) -> WarmOutcome {
+        let state = self.state.read();
+        let (table, store) = (&state.table, &state.store);
+        let epoch = self.epoch.load(Ordering::Relaxed);
         let row = req.row;
-        let prov = prov.tagged(req.request_id, req.trace);
-        // Armed only when the request carries a trace id AND the registry
-        // has a sink; the untraced path pays one `Option` check per stage.
-        // Tracing must never perturb the explanation: it takes no RNG
-        // draws and the per-tuple seed stays a function of the row alone.
-        let trace = match (traces, req.trace) {
-            (Some(sink), Some(id)) => Some((sink, id)),
-            _ => None,
-        };
+        let prov = worker.prov.tagged(req.request_id, req.trace);
+        // Armed only when the request carries a trace id; the untraced
+        // path pays one `Option` check per stage. Tracing must never
+        // perturb the explanation: it takes no RNG draws and the
+        // per-tuple seed stays a function of the row alone.
+        worker.stages.clear();
+        let mut trace = StageTrace(req.trace.map(|_| &mut worker.stages));
         let (ctx, clf) = (&self.ctx, &self.clf);
-        guard_tuple(row as u32, quarantine, |incidents0| {
+        let outcome = guard_tuple(row as u32, &worker.quarantine, |incidents0| {
             let t0 = prov.start();
             let codes = table.row(row);
-            let retrieve = retrieve_hist.start();
-            let stage_t = trace.map(|_| Instant::now());
-            let (matched, lookup) = store.matching_read_stats(&codes, scratch);
-            if let Some((sink, id)) = trace {
-                let start = stage_t.expect("armed with the trace");
-                sink.push(
-                    id,
-                    StageSpan {
-                        name: "retrieve",
-                        start,
-                        dur: start.elapsed(),
-                        counters: TraceCounters {
-                            store_hits: lookup.hits,
-                            store_misses: lookup.misses,
-                            ..TraceCounters::default()
-                        },
-                    },
-                );
-            }
+            let retrieve = worker.retrieve_hist.start();
+            let stage_t = trace.start();
+            let (matched, lookup) = store.matching_read_stats(&codes, &mut worker.scratch);
+            trace.push("retrieve", stage_t, |c| {
+                c.store_hits = lookup.hits;
+                c.store_misses = lookup.misses;
+            });
             drop(retrieve);
             let instance = self.warm.instance(row);
-            match &self.explainer {
+            // What each arm hands to the provenance record below.
+            let (explanation, clamped, reused, fresh, invocations, cache) = match &self.explainer {
                 WarmExplainer::Lime(lime) => {
                     let mut tuple_rng = StdRng::seed_from_u64(per_tuple_seed(self.seed, row));
                     let pooled = matched.iter().flat_map(|&id| store.samples(id).iter());
-                    let _fit = surrogate_hist.start();
-                    let stage_t = trace.map(|_| Instant::now());
+                    let _fit = worker.surrogate_hist.start();
+                    let stage_t = trace.start();
                     let (weights, reuse) = lime.explain_with_reused_counted(
                         ctx,
                         clf,
@@ -753,54 +677,24 @@ impl<C: Classifier> WarmEngine<C> {
                         pooled,
                         &mut tuple_rng,
                     );
-                    if let Some((sink, id)) = trace {
-                        push_explain_stages(
-                            sink,
-                            id,
-                            stage_t.expect("armed with the trace"),
-                            reuse.reused,
-                            reuse.fresh,
-                            reuse.invocations,
-                        );
-                    }
-                    let degraded =
-                        reuse.clamped > 0 || shahin_model::degraded_incidents() > incidents0;
-                    prov.record(
-                        row as u32,
-                        epoch,
-                        &matched,
-                        lookup,
+                    trace.push_fit(stage_t, reuse.reused, reuse.fresh, reuse.invocations);
+                    (
+                        Explanation::Weights(weights),
+                        reuse.clamped > 0,
                         reuse.reused,
                         reuse.fresh,
                         reuse.invocations,
                         (0, 0),
-                        degraded,
-                        t0,
-                    );
-                    (Explanation::Weights(weights), degraded)
+                    )
                 }
                 WarmExplainer::Anchor(_) => {
                     let anchor = self
                         .anchor
                         .as_ref()
                         .expect("anchor engine has a wired clone");
-                    let stage_t = trace.map(|_| Instant::now());
+                    let stage_t = trace.start();
                     let target = clf.predict(&instance);
-                    if let Some((sink, id)) = trace {
-                        let start = stage_t.expect("armed with the trace");
-                        sink.push(
-                            id,
-                            StageSpan {
-                                name: "classify",
-                                start,
-                                dur: start.elapsed(),
-                                counters: TraceCounters {
-                                    invocations: 1,
-                                    ..TraceCounters::default()
-                                },
-                            },
-                        );
-                    }
+                    trace.push("classify", stage_t, |c| c.invocations = 1);
                     let mut sampler = CachingRuleSampler::new(
                         ctx,
                         clf,
@@ -809,47 +703,29 @@ impl<C: Classifier> WarmEngine<C> {
                         &self.caches,
                         per_tuple_seed(self.seed, row),
                     );
-                    let stage_t = trace.map(|_| Instant::now());
+                    let stage_t = trace.start();
                     let explanation = anchor.explain_with_sampler(&codes, target, &mut sampler);
                     let stats = sampler.stats();
-                    if let Some((sink, id)) = trace {
-                        let start = stage_t.expect("armed with the trace");
-                        sink.push(
-                            id,
-                            StageSpan {
-                                name: "explain",
-                                start,
-                                dur: start.elapsed(),
-                                counters: TraceCounters {
-                                    samples_reused: stats.reused,
-                                    samples_fresh: stats.fresh,
-                                    invocations: stats.fresh,
-                                    ..TraceCounters::default()
-                                },
-                            },
-                        );
-                    }
-                    let degraded = shahin_model::degraded_incidents() > incidents0;
-                    prov.record(
-                        row as u32,
-                        epoch,
-                        &matched,
-                        lookup,
+                    trace.push("explain", stage_t, |c| {
+                        c.samples_reused = stats.reused;
+                        c.samples_fresh = stats.fresh;
+                        c.invocations = stats.fresh;
+                    });
+                    (
+                        Explanation::Rule(explanation),
+                        false,
                         stats.reused,
                         stats.fresh,
                         stats.fresh + 1,
                         (stats.cache_hits, stats.cache_misses),
-                        degraded,
-                        t0,
-                    );
-                    (Explanation::Rule(explanation), degraded)
+                    )
                 }
                 WarmExplainer::Shap(shap) => {
                     let mut tuple_rng = StdRng::seed_from_u64(per_tuple_seed(self.seed, row));
                     let pooled = pool_coalitions(store, &matched, shap.params.n_samples / 2);
                     let mut source = StoreCoalitionSource::new(store, matched.clone());
-                    let _fit = surrogate_hist.start();
-                    let stage_t = trace.map(|_| Instant::now());
+                    let _fit = worker.surrogate_hist.start();
+                    let stage_t = trace.start();
                     let (weights, reuse) = shap.explain_with_counted(
                         ctx,
                         clf,
@@ -859,78 +735,121 @@ impl<C: Classifier> WarmEngine<C> {
                         &mut source,
                         &mut tuple_rng,
                     );
-                    if let Some((sink, id)) = trace {
-                        push_explain_stages(
-                            sink,
-                            id,
-                            stage_t.expect("armed with the trace"),
-                            reuse.reused,
-                            reuse.fresh,
-                            reuse.invocations,
-                        );
-                    }
-                    let degraded =
-                        reuse.clamped > 0 || shahin_model::degraded_incidents() > incidents0;
-                    prov.record(
-                        row as u32,
-                        epoch,
-                        &matched,
-                        lookup,
+                    trace.push_fit(stage_t, reuse.reused, reuse.fresh, reuse.invocations);
+                    (
+                        Explanation::Weights(weights),
+                        reuse.clamped > 0,
                         reuse.reused,
                         reuse.fresh,
                         reuse.invocations,
                         (0, 0),
-                        degraded,
-                        t0,
-                    );
-                    (Explanation::Weights(weights), degraded)
+                    )
                 }
-            }
-        })
+            };
+            let degraded = clamped || shahin_model::degraded_incidents() > incidents0;
+            prov.record(
+                row as u32,
+                epoch,
+                &matched,
+                lookup,
+                reused,
+                fresh,
+                invocations,
+                cache,
+                degraded,
+                t0,
+            );
+            (explanation, degraded)
+        });
+        match outcome {
+            TupleOutcome::Ok(explanation) => WarmOutcome::Ok {
+                explanation,
+                degraded: false,
+            },
+            TupleOutcome::Degraded(explanation) => WarmOutcome::Ok {
+                explanation,
+                degraded: true,
+            },
+            TupleOutcome::Failed(failure) => WarmOutcome::Failed(failure),
+        }
     }
 }
 
-/// Deposits the surrogate explainers' stage spans for one traced tuple:
-/// an `explain` span timing the whole surrogate fit (sample top-up +
-/// regression) carrying the reuse counters, plus a zero-length `classify`
-/// marker at its start carrying the classifier-invocation attribution.
-/// LIME/SHAP drive the classifier from inside the fit, so classify wall
-/// time is not separable — only Anchor's direct target probe gets a timed
-/// classify span — but the invocation *count* is exact either way.
-fn push_explain_stages(
-    sink: &TraceSink,
-    id: u64,
-    start: Instant,
-    reused: u64,
-    fresh: u64,
-    invocations: u64,
-) {
-    let dur = start.elapsed();
-    sink.push(
-        id,
-        StageSpan {
-            name: "classify",
-            start,
-            dur: Duration::ZERO,
-            counters: TraceCounters {
-                invocations,
-                ..TraceCounters::default()
-            },
-        },
-    );
-    sink.push(
-        id,
-        StageSpan {
-            name: "explain",
-            start,
-            dur,
-            counters: TraceCounters {
-                samples_reused: reused,
-                samples_fresh: fresh,
-                ..TraceCounters::default()
-            },
-        },
-    );
+/// What one worker thread carries from request to request on an engine
+/// ([`WarmEngine::worker`]): the obs handles the per-tuple body records
+/// into, resolved once, and the match scratch its store lookups reuse.
+pub struct WarmWorker {
+    retrieve_hist: Histogram,
+    surrogate_hist: Histogram,
+    prov: ProvenanceCtx,
+    quarantine: QuarantineObs,
+    /// Stage spans of the request explained last, if it was traced.
+    stages: Vec<StageSpan>,
+    scratch: MatchScratch,
+}
+
+impl WarmWorker {
+    /// The per-stage spans — `retrieve`, `classify`, `explain`, in that
+    /// order — the last [`WarmEngine::explain_request`] on this context
+    /// recorded; empty when that request carried no trace id. The serve
+    /// worker folds them into the request's span tree.
+    pub fn stages(&self) -> &[StageSpan] {
+        &self.stages
+    }
+}
+
+/// A traced request's stage-span buffer; every method is a no-op for an
+/// untraced one.
+struct StageTrace<'a>(Option<&'a mut Vec<StageSpan>>);
+
+impl StageTrace<'_> {
+    /// The stage's start instant (`None`, and no clock read, when untraced).
+    fn start(&self) -> Option<Instant> {
+        self.0.as_ref().map(|_| Instant::now())
+    }
+
+    /// Records one stage span running from `start` until now.
+    fn push(
+        &mut self,
+        name: &'static str,
+        start: Option<Instant>,
+        fill: impl FnOnce(&mut TraceCounters),
+    ) {
+        if let (Some(stages), Some(start)) = (&mut self.0, start) {
+            let mut span = StageSpan {
+                name,
+                start,
+                dur: start.elapsed(),
+                counters: TraceCounters::default(),
+            };
+            fill(&mut span.counters);
+            stages.push(span);
+        }
+    }
+
+    /// The surrogate explainers' stage spans: a zero-length `classify`
+    /// marker carrying the classifier-invocation attribution, then an
+    /// `explain` span timing the whole surrogate fit (sample top-up +
+    /// regression) with the reuse counters. LIME/SHAP drive the
+    /// classifier from inside the fit, so classify wall time is not
+    /// separable — only Anchor's direct target probe gets a timed
+    /// classify span — but the invocation *count* is exact either way.
+    fn push_fit(&mut self, start: Option<Instant>, reused: u64, fresh: u64, invocations: u64) {
+        if let (Some(stages), Some(start)) = (&mut self.0, start) {
+            let mut classify = StageSpan {
+                name: "classify",
+                start,
+                dur: Duration::ZERO,
+                counters: TraceCounters::default(),
+            };
+            classify.counters.invocations = invocations;
+            stages.push(classify);
+        }
+        self.push("explain", start, |c| {
+            c.samples_reused = reused;
+            c.samples_fresh = fresh;
+        });
+    }
 }
 
 #[cfg(test)]
@@ -1015,7 +934,7 @@ mod tests {
     }
 
     #[test]
-    fn assigned_explains_are_bit_identical_for_any_partition() {
+    fn single_requests_are_bit_identical_to_the_batch_form_in_any_order() {
         let (eng, warm, _) = engine(2);
         let reqs: Vec<WarmRequest> = (0..warm.n_rows())
             .map(|row| WarmRequest {
@@ -1033,18 +952,63 @@ mod tests {
                 .collect()
         };
         let baseline = weights_of(eng.explain(&reqs));
-        // Signature-derived sharding, round-robin, and everything-on-one
-        // must all reproduce the default path bit-for-bit.
-        for n_workers in [1usize, 3, 8] {
-            let sharded: Vec<usize> = reqs
-                .iter()
-                .map(|r| (eng.row_signature(r.row) % n_workers as u64) as usize)
-                .collect();
-            let round_robin: Vec<usize> = (0..reqs.len()).map(|i| i % n_workers).collect();
-            for assign in [sharded, round_robin] {
-                let got = weights_of(eng.explain_assigned(&reqs, &assign, n_workers));
-                assert_eq!(got, baseline, "partition changed results at {n_workers}");
+        // One long-lived worker context, rows in reverse: what a serve
+        // worker does with whatever the queue hands it.
+        let mut worker = eng.worker();
+        let mut served = weights_of(
+            reqs.iter()
+                .rev()
+                .map(|&req| eng.explain_request(req, &mut worker))
+                .collect(),
+        );
+        served.reverse();
+        assert_eq!(served, baseline, "pickup order changed results");
+    }
+
+    #[test]
+    fn one_chunk_batches_run_on_the_calling_thread() {
+        struct ThreadProbe(std::sync::Mutex<Vec<std::thread::ThreadId>>);
+        impl Classifier for ThreadProbe {
+            fn predict_proba(&self, _inst: &[shahin_tabular::Feature]) -> f64 {
+                self.0.lock().unwrap().push(std::thread::current().id());
+                0.7
             }
+        }
+        let (ctx, _clf, warm) = setup();
+        let probe = Arc::new(ThreadProbe(std::sync::Mutex::new(Vec::new())));
+        let prime = |n_threads: usize| {
+            WarmEngine::prime(
+                BatchConfig {
+                    n_threads: Some(n_threads),
+                    ..Default::default()
+                },
+                // Past what the store pools, so every row calls the classifier.
+                WarmExplainer::Lime(LimeExplainer::new(LimeParams {
+                    n_samples: 400,
+                    ..Default::default()
+                })),
+                ctx.clone(),
+                CountingClassifier::new(Arc::clone(&probe)),
+                warm.clone(),
+                11,
+                &MetricsRegistry::new(),
+            )
+        };
+        let reqs: Vec<WarmRequest> = (0..4)
+            .map(|row| WarmRequest {
+                row,
+                request_id: row as u64,
+                trace: None,
+            })
+            .collect();
+        let me = std::thread::current().id();
+        // n_threads = 1 with several requests, and one request at 4 threads.
+        for (eng, reqs) in [(prime(1), &reqs[..]), (prime(4), &reqs[..1])] {
+            probe.0.lock().unwrap().clear();
+            eng.explain(reqs);
+            let seen = probe.0.lock().unwrap();
+            assert!(!seen.is_empty(), "the probe must have been called");
+            assert!(seen.iter().all(|&t| t == me), "a one-chunk batch spawned a thread");
         }
     }
 
@@ -1094,8 +1058,6 @@ mod tests {
         let reg = MetricsRegistry::new();
         let sink = Arc::new(ProvenanceSink::new());
         reg.attach_provenance_sink(Arc::clone(&sink));
-        let traces = Arc::new(TraceSink::new());
-        reg.attach_trace_sink(Arc::clone(&traces));
         let eng = WarmEngine::prime(
             BatchConfig::default(),
             WarmExplainer::Lime(lime()),
@@ -1105,18 +1067,21 @@ mod tests {
             11,
             &reg,
         );
-        eng.explain(&[
-            WarmRequest {
-                row: 0,
-                request_id: 100,
-                trace: Some(40),
-            },
-            WarmRequest {
-                row: 1,
-                request_id: 101,
-                trace: None,
-            },
-        ]);
+        let mut worker = eng.worker();
+        let traced = WarmRequest {
+            row: 0,
+            request_id: 100,
+            trace: Some(40),
+        };
+        eng.explain_request(traced, &mut worker);
+        let stages = worker.stages().to_vec();
+        let untraced = WarmRequest {
+            row: 1,
+            request_id: 101,
+            trace: None,
+        };
+        eng.explain_request(untraced, &mut worker);
+        assert!(worker.stages().is_empty(), "row 1 was untraced — no stages");
         let recs = sink.records();
         assert_eq!(recs.len(), 2);
         let requests: Vec<Option<u64>> = recs.iter().map(|r| r.request).collect();
@@ -1128,12 +1093,11 @@ mod tests {
         }
 
         // The traced request's lineage joins against its trace id; the
-        // untraced one carries none and deposits no stage spans.
+        // untraced one carries none.
         let traced = recs.iter().find(|r| r.request == Some(100)).unwrap();
         assert_eq!(traced.trace_id, Some(40));
         let untraced = recs.iter().find(|r| r.request == Some(101)).unwrap();
         assert_eq!(untraced.trace_id, None);
-        let stages = traces.take(40);
         let names: Vec<&str> = stages.iter().map(|s| s.name).collect();
         assert_eq!(names, ["retrieve", "classify", "explain"]);
         let mut totals = TraceCounters::default();
@@ -1144,49 +1108,27 @@ mod tests {
         assert_eq!(totals.samples_reused, traced.samples_reused);
         assert_eq!(totals.samples_fresh, traced.samples_fresh);
         assert_eq!(totals.store_misses, traced.store_misses);
-        assert!(traces.is_empty(), "row 1 was untraced — nothing left over");
     }
 
     #[test]
     fn tracing_does_not_change_served_explanations() {
-        use std::sync::Arc;
-
-        let (ctx, clf, warm) = setup();
-        let reg = MetricsRegistry::new();
-        let traces = Arc::new(TraceSink::new());
-        reg.attach_trace_sink(Arc::clone(&traces));
-        let eng = WarmEngine::prime(
-            BatchConfig {
-                n_threads: Some(2),
-                ..Default::default()
-            },
-            WarmExplainer::Lime(lime()),
-            ctx,
-            clf,
-            warm,
-            11,
-            &reg,
-        );
-        let bare = [WarmRequest {
-            row: 5,
-            request_id: 1,
-            trace: None,
-        }];
-        let traced = [WarmRequest {
-            row: 5,
-            request_id: 2,
-            trace: Some(9),
-        }];
-        let w_bare = match &eng.explain(&bare)[0] {
-            WarmOutcome::Ok { explanation, .. } => explanation.weights().unwrap().clone(),
-            WarmOutcome::Failed(f) => panic!("{f:?}"),
+        let (eng, _, _) = engine(2);
+        let mut worker = eng.worker();
+        let mut weights_of = |request_id: u64, trace: Option<u64>| {
+            let req = WarmRequest {
+                row: 5,
+                request_id,
+                trace,
+            };
+            match eng.explain_request(req, &mut worker) {
+                WarmOutcome::Ok { explanation, .. } => explanation.weights().unwrap().clone(),
+                WarmOutcome::Failed(f) => panic!("{f:?}"),
+            }
         };
-        let w_traced = match &eng.explain(&traced)[0] {
-            WarmOutcome::Ok { explanation, .. } => explanation.weights().unwrap().clone(),
-            WarmOutcome::Failed(f) => panic!("{f:?}"),
-        };
+        let w_bare = weights_of(1, None);
+        let w_traced = weights_of(2, Some(9));
         assert_eq!(w_bare, w_traced, "tracing must not perturb explanations");
-        let stages = traces.take(9);
+        let stages = worker.stages();
         assert_eq!(stages.len(), 3);
         assert!(stages.iter().all(|s| s.dur <= s.start.elapsed()));
     }

@@ -18,7 +18,6 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::events::EventSink;
 use crate::provenance::ProvenanceSink;
-use crate::trace::TraceSink;
 
 /// Number of name-keyed stripes. Registration is rare (handles are cached
 /// by the instrumented structures), so this only needs to keep concurrent
@@ -137,6 +136,24 @@ impl Gauge {
     pub fn set(&self, v: u64) {
         if let Some(cell) = &self.0 {
             cell.store(v, Ordering::Relaxed);
+        }
+    }
+
+    /// Adds one — with [`Gauge::dec`], for gauges that count things in
+    /// flight across threads, where racing `set`s could leave a stale
+    /// value behind.
+    #[inline]
+    pub fn inc(&self) {
+        if let Some(cell) = &self.0 {
+            cell.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Subtracts one.
+    #[inline]
+    pub fn dec(&self) {
+        if let Some(cell) = &self.0 {
+            cell.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -442,9 +459,6 @@ struct Inner {
     /// Per-tuple provenance sink; drivers record lineage only while
     /// attached.
     provenance: RwLock<Option<Arc<ProvenanceSink>>>,
-    /// Per-request stage-span sink; engine workers record trace stages
-    /// only while attached.
-    traces: RwLock<Option<Arc<TraceSink>>>,
 }
 
 /// A lock-striped, thread-safe registry of named metrics. Cloning shares
@@ -480,7 +494,6 @@ impl MetricsRegistry {
                 stripes: std::array::from_fn(|_| Mutex::new(HashMap::new())),
                 events: RwLock::new(None),
                 provenance: RwLock::new(None),
-                traces: RwLock::new(None),
             }),
         }
     }
@@ -619,23 +632,6 @@ impl MetricsRegistry {
         self.inner.provenance.read().clone()
     }
 
-    /// Attaches a request-trace stage sink: engine workers that see it
-    /// record per-stage [`crate::trace::StageSpan`]s for traced
-    /// requests. Ignored on a disabled registry.
-    pub fn attach_trace_sink(&self, sink: Arc<TraceSink>) {
-        if self.inner.enabled {
-            *self.inner.traces.write() = Some(sink);
-        }
-    }
-
-    /// The attached trace sink, if any (always `None` when disabled).
-    pub fn trace_sink(&self) -> Option<Arc<TraceSink>> {
-        if !self.inner.enabled {
-            return None;
-        }
-        self.inner.traces.read().clone()
-    }
-
     /// Starts an RAII span recording into `span.{name}` when dropped.
     pub fn span(&self, name: &str) -> Span {
         self.span_histogram(name).start()
@@ -752,6 +748,12 @@ mod tests {
         assert_eq!(g.get(), 10);
         g.max(20);
         assert_eq!(g.get(), 20);
+        g.inc();
+        g.inc();
+        g.dec();
+        assert_eq!(g.get(), 21);
+        Gauge::noop().inc();
+        Gauge::noop().dec();
     }
 
     #[test]
@@ -967,29 +969,6 @@ mod tests {
         let off = Histogram::noop();
         off.record_ns_traced(5, 9);
         assert_eq!(off.count(), 0);
-    }
-
-    #[test]
-    fn trace_sink_round_trips_through_registry() {
-        let reg = MetricsRegistry::new();
-        assert!(reg.trace_sink().is_none());
-        let sink = Arc::new(crate::trace::TraceSink::new());
-        reg.attach_trace_sink(Arc::clone(&sink));
-        let got = reg.trace_sink().expect("attached");
-        got.push(
-            3,
-            crate::trace::StageSpan {
-                name: "retrieve",
-                start: Instant::now(),
-                dur: Duration::from_micros(1),
-                counters: crate::trace::TraceCounters::default(),
-            },
-        );
-        assert_eq!(sink.len(), 1);
-        // Disabled registries ignore the attachment.
-        let off = MetricsRegistry::disabled();
-        off.attach_trace_sink(Arc::new(crate::trace::TraceSink::new()));
-        assert!(off.trace_sink().is_none());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Request-scoped tracing: causal span trees per served request, a
-//! stage sink for workers deep in the engine, and a bounded tail-sampled
+//! Request-scoped tracing: causal span trees per served request, the
+//! stage spans the engine records for them, and a bounded tail-sampled
 //! store of retained traces.
 //!
 //! The metrics registry answers "how is the service doing"; this module
@@ -7,9 +7,9 @@
 //!
 //! * [`TraceContext`] — the identity propagated alongside a request: a
 //!   process-unique trace id plus the span index the next stage should
-//!   parent under. Minted at admission, carried through the queue, the
-//!   micro-batcher, and into the [`crate::MetricsRegistry`]-attached
-//!   [`TraceSink`] that engine workers record stage timings into.
+//!   parent under. Minted at admission and carried through the queue
+//!   to the worker that picks the request up; the engine records
+//!   [`StageSpan`]s into that worker's own buffer while it explains.
 //! * [`RequestTrace`] — the finished record: an ordered span tree
 //!   (`request` → `queue`/`batch` → engine stages), the key counters
 //!   (store hits/misses, samples reused/fresh, classifier invocations)
@@ -26,7 +26,7 @@
 //! is what makes "every error has a trace" possible: the decision is
 //! made after the outcome is known.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,13 +36,8 @@ use parking_lot::Mutex;
 
 use crate::json::escape;
 
-/// Stripe count for both the stage sink and the retained-trace ring.
+/// Stripe count of the retained-trace ring.
 pub const N_TRACE_STRIPES: usize = 16;
-
-/// Per-stripe bound on trace ids the stage sink will hold spans for
-/// before dropping; a backstop against a server that records stages but
-/// never reconciles them.
-const SINK_IDS_PER_STRIPE: usize = 4096;
 
 /// The identity a traced request carries through the pipeline: the
 /// process-unique trace id and the span index new child spans should
@@ -75,7 +70,9 @@ impl TraceContext {
 /// the trace's own start, so a trace is self-contained.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceSpan {
-    pub name: Arc<str>,
+    /// Span names are a fixed vocabulary, so building a span allocates
+    /// nothing.
+    pub name: &'static str,
     /// Index of the parent span in [`RequestTrace::spans`]; `None` only
     /// for the root.
     pub parent: Option<u32>,
@@ -113,8 +110,9 @@ pub struct RequestTrace {
     pub request_id: u64,
     /// Batch row index the request asked to explain.
     pub row: u64,
-    /// Micro-batch this request rode in (`None` when it never reached
-    /// the batcher, e.g. an expired deadline).
+    /// Which worker pickup this request was, counting from the server's
+    /// start (`None` when it never reached an engine, e.g. an expired
+    /// deadline). The name predates the worker pool.
     pub batch_id: Option<u64>,
     /// Span tree; index 0 is the root `request` span.
     pub spans: Vec<TraceSpan>,
@@ -174,7 +172,7 @@ impl RequestTrace {
             if i > 0 {
                 out.push_str(", ");
             }
-            write!(out, "{{\"name\": \"{}\", \"parent\": ", escape(&s.name)).unwrap();
+            write!(out, "{{\"name\": \"{}\", \"parent\": ", escape(s.name)).unwrap();
             match s.parent {
                 Some(p) => write!(out, "{p}").unwrap(),
                 None => out.push_str("null"),
@@ -206,7 +204,7 @@ impl RequestTrace {
                 out,
                 ",\n  {{\"name\": \"{}\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, \
                  \"ts\": {}, \"dur\": {}",
-                escape(&s.name),
+                escape(s.name),
                 ts_us(s.start_ns),
                 ts_us(s.dur_ns.max(1))
             )
@@ -236,10 +234,10 @@ impl RequestTrace {
     }
 }
 
-/// One stage measurement recorded by a worker deep in the engine (store
-/// retrieval, classifier probe, surrogate fit / anchor search), keyed by
-/// trace id in the [`TraceSink`] and reconciled into the request's span
-/// tree by the server once the batch returns.
+/// One stage measurement recorded deep in the engine (store retrieval,
+/// classifier probe, surrogate fit / anchor search) into the explaining
+/// worker's buffer, and folded into the request's span tree by the
+/// server once the engine returns.
 #[derive(Clone, Debug)]
 pub struct StageSpan {
     pub name: &'static str,
@@ -248,68 +246,6 @@ pub struct StageSpan {
     /// Counter deltas attributable to this stage; summed into
     /// [`RequestTrace::counters`] at assembly.
     pub counters: TraceCounters,
-}
-
-/// A lock-striped mailbox of engine-side [`StageSpan`]s, keyed by trace
-/// id. Workers [`TraceSink::push`] as they finish a stage; the server
-/// [`TraceSink::take`]s everything for a trace when assembling its
-/// [`RequestTrace`]. Striping by trace id keeps adjacent requests in a
-/// batch off each other's locks.
-pub struct TraceSink {
-    stripes: [Mutex<HashMap<u64, Vec<StageSpan>>>; N_TRACE_STRIPES],
-    dropped: AtomicU64,
-}
-
-impl Default for TraceSink {
-    fn default() -> Self {
-        TraceSink::new()
-    }
-}
-
-impl TraceSink {
-    pub fn new() -> TraceSink {
-        TraceSink {
-            stripes: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    fn stripe(&self, trace_id: u64) -> &Mutex<HashMap<u64, Vec<StageSpan>>> {
-        &self.stripes[(trace_id as usize) % N_TRACE_STRIPES]
-    }
-
-    /// Records one stage for `trace_id`. Spans for more than
-    /// `SINK_IDS_PER_STRIPE` distinct unreconciled trace ids per stripe
-    /// are dropped (and counted) instead of growing without bound.
-    pub fn push(&self, trace_id: u64, span: StageSpan) {
-        let mut map = self.stripe(trace_id).lock();
-        if map.len() >= SINK_IDS_PER_STRIPE && !map.contains_key(&trace_id) {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        map.entry(trace_id).or_default().push(span);
-    }
-
-    /// Removes and returns every stage recorded for `trace_id`, in push
-    /// order per worker (stages of one request are recorded by one
-    /// worker, so this is chronological).
-    pub fn take(&self, trace_id: u64) -> Vec<StageSpan> {
-        self.stripe(trace_id).lock().remove(&trace_id).unwrap_or_default()
-    }
-
-    /// Stage spans dropped by the per-stripe id bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Trace ids currently holding unreconciled stages.
-    pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Retention policy knobs for a [`TraceStore`].
@@ -527,13 +463,13 @@ mod tests {
             batch_id: Some(1),
             spans: vec![
                 TraceSpan {
-                    name: Arc::from("request"),
+                    name: "request",
                     parent: None,
                     start_ns: 0,
                     dur_ns: total_ns,
                 },
                 TraceSpan {
-                    name: Arc::from("queue"),
+                    name: "queue",
                     parent: Some(0),
                     start_ns: 0,
                     dur_ns: total_ns / 4,
@@ -635,40 +571,6 @@ mod tests {
         }
         let got: Vec<u64> = s.slowest(2).iter().map(|t| t.trace_id).collect();
         assert_eq!(got, vec![2, 3]);
-    }
-
-    #[test]
-    fn sink_takes_stages_once_and_bounds_ids() {
-        let sink = TraceSink::new();
-        let t0 = Instant::now();
-        sink.push(
-            7,
-            StageSpan {
-                name: "retrieve",
-                start: t0,
-                dur: Duration::from_micros(5),
-                counters: TraceCounters {
-                    store_hits: 1,
-                    ..TraceCounters::default()
-                },
-            },
-        );
-        sink.push(
-            7,
-            StageSpan {
-                name: "explain",
-                start: t0,
-                dur: Duration::from_micros(50),
-                counters: TraceCounters::default(),
-            },
-        );
-        assert_eq!(sink.len(), 1);
-        let stages = sink.take(7);
-        assert_eq!(stages.len(), 2);
-        assert_eq!(stages[0].name, "retrieve");
-        assert!(sink.take(7).is_empty());
-        assert!(sink.is_empty());
-        assert_eq!(sink.dropped(), 0);
     }
 
     #[test]

@@ -3,16 +3,18 @@
 //!
 //! The offline drivers in `shahin` amortize explanation cost *within* a
 //! batch; a service answering a stream of explain requests wants to
-//! amortize it *across* requests. This crate puts a std-only TCP front
+//! amortize it *across* requests. That reuse lives in the engine's
+//! resident, read-only repository — requests share nothing else — so the
+//! service never holds one request back for another. This crate puts a std-only TCP front
 //! end — newline-delimited JSON, no external dependencies — over a
 //! [`shahin::WarmEngine`]:
 //!
 //! - [`protocol`]: the wire format — request parsing with typed error
 //!   frames (bad frames never kill the connection),
 //! - [`queue`]: the bounded admission queue with 429-style backpressure,
-//! - [`server`]: acceptor + per-connection readers + the batcher thread
-//!   that coalesces concurrent requests into dynamic micro-batches
-//!   (flush on `max_batch` or `max_delay`) so co-batched tuples share
+//! - [`server`]: acceptor + per-connection readers + a fixed pool of
+//!   persistent workers, each taking one request off the shared queue
+//!   the moment it is there and answering it on its own thread against
 //!   the warm [`shahin::PerturbationStore`] and Anchor caches,
 //! - [`monitor`]: the server-owned monitor thread feeding the live
 //!   observability plane — per-tick gauges, the windowed aggregator
@@ -63,6 +65,8 @@
 //! ```
 
 pub mod monitor;
+#[cfg(test)]
+mod pool_tests;
 pub mod protocol;
 pub mod queue;
 pub mod server;

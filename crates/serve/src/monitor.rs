@@ -17,7 +17,7 @@
 //!
 //! The thread is owned by the server: [`crate::Server::start`] spawns
 //! it and [`crate::ServerHandle::wait`] joins it. It exits after the
-//! batcher reports the drain complete, taking one final tick first so
+//! workers report the drain complete, taking one final tick first so
 //! the last window and the on-disk file reflect the drain tail.
 
 use std::io;
@@ -118,7 +118,7 @@ fn tick<C: Classifier>(shared: &Shared<C>, obs: &MetricsRegistry) {
 /// `--snapshot-out` file when single-tenant, `<snapshot-dir>/<name>.shws`
 /// per tenant under a manifest), counting outcomes under `persist.*`.
 /// Each dump holds its store's read lock only long enough to serialize —
-/// the batcher keeps serving — and every write is temp-file + fsync +
+/// the workers keep serving — and every write is temp-file + fsync +
 /// rename, so a crash mid-snapshot leaves the previous file intact. A
 /// failure (full disk, revoked directory) must not kill the monitor; the
 /// failure counter is the operator's signal. A no-op when no tenant has
@@ -127,7 +127,7 @@ pub(crate) fn take_snapshot<C: Classifier>(shared: &Shared<C>) {
     shared.cluster.write_snapshots();
 }
 
-/// Runs until the batcher reports the drain complete, ticking every
+/// Runs until the workers report the drain complete, ticking every
 /// `monitor_interval` (checking for the drain every `poll_interval` so
 /// shutdown is never blocked on a long monitor sleep). The monitor is
 /// the single snapshot writer: periodic `--snapshot-interval-ms`

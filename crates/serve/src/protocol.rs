@@ -34,7 +34,7 @@
 //! retained request traces: one trace by id (as a span-tree JSON object,
 //! or with `"format": "chrome"` as a single-request Chrome-trace
 //! document loadable in Perfetto), the N slowest retained, or every
-//! retained error trace. Served explanation and batcher-side error
+//! retained error trace. Served explanation and worker-side error
 //! frames carry the request's `trace_id`, which is the join key.
 //!
 //! ## Responses
@@ -1215,13 +1215,13 @@ mod tests {
             tenant: None,
             spans: vec![
                 TraceSpan {
-                    name: Arc::from("request"),
+                    name: "request",
                     parent: None,
                     start_ns: 0,
                     dur_ns: 900,
                 },
                 TraceSpan {
-                    name: Arc::from("queue"),
+                    name: "queue",
                     parent: Some(0),
                     start_ns: 0,
                     dur_ns: 300,

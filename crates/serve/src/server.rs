@@ -1,4 +1,5 @@
-//! The TCP front end: acceptor, per-connection readers, and the batcher.
+//! The TCP front end: acceptor, per-connection readers, and the worker
+//! pool.
 //!
 //! Threading model (see DESIGN.md §5f):
 //!
@@ -6,13 +7,13 @@
 //! acceptor ──spawns──▶ reader (one per connection)
 //!                        │ parse + resolve tenant + admit (quota)
 //!                        ▼
-//!                 Admission queue (bounded)
-//!                        │ pop_batch(max_batch, max_delay)
+//!                 Admission queue (bounded, shared)
+//!                        │ pop() — one request, the moment it is there
 //!                        ▼
-//!                     batcher ── group by tenant
-//!                        │ ensure_warm (lazy cold start)
+//!        worker-0 … worker-N (persistent; started with the server)
+//!                        │ deadline → ensure_warm → explain_request
 //!                        ▼
-//!        WarmEngine::explain_assigned (shard-routed) ──▶ response frames
+//!              serialize ──▶ the request's socket
 //! ```
 //!
 //! The server fronts a [`TenantRegistry`] — one tenant wrapped from a
@@ -20,33 +21,42 @@
 //! tenants via [`Server::start_cluster`]. Readers resolve each explain's
 //! `tenant` field (absent → default tenant, unknown → typed 404) and
 //! admit against the tenant's quota (over → typed 429) before the
-//! request crosses into the queue; the batcher groups each popped batch
-//! by tenant, materializes cold tenants on first use (counted and
-//! traced as a `coldstart` span), and routes every group through the
-//! tenant's consistent-hash shard map.
+//! request crosses into the queue. Each worker takes one request at a
+//! time and does the whole of it on its own thread: there is no timer
+//! and no thread creation between admission and the response, and
+//! requests share nothing but the read-only warm store, so nothing is
+//! gained by holding one back for another. A cold tenant is
+//! materialized by the first worker that picks up a request for it
+//! (counted, and traced as a `coldstart` span on that request); requests
+//! other workers pick up for it meanwhile are parked on the tenant and
+//! re-queued when the start finishes, so a cold start or a slow
+//! explanation occupies one worker and every other tenant keeps being
+//! served by the rest.
 //!
-//! Readers never touch the engine; the batcher never touches sockets
-//! except through each request's [`Conn`] handle (a mutex-wrapped writer
-//! shared with the reader, so pong/error frames and served explanations
-//! interleave without tearing). Shutdown — admin frame, watched signal,
-//! or [`ServerHandle::shutdown`] — closes the queue; the batcher drains
-//! the backlog (every admitted request is still answered), the acceptor
-//! stops accepting, and readers notice within one read-timeout tick.
+//! Readers never touch the engine; workers never touch sockets except
+//! through each request's [`Conn`] handle (a mutex-wrapped writer shared
+//! with the reader and the other workers, so pong/error frames and
+//! served explanations interleave without tearing). Shutdown — admin
+//! frame, watched signal, or [`ServerHandle::shutdown`] — closes the
+//! queue; the workers drain the backlog (every admitted request is still
+//! answered), the acceptor stops accepting, and readers notice within
+//! one read-timeout tick.
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use shahin::obs::names;
+use shahin::obs::{Counter, Gauge, Histogram, ValueHistogram};
 use shahin::{
-    MetricsRegistry, RequestTrace, StageSpan, TraceContext, TraceCounters, TraceSink, TraceSpan,
-    TraceStore, TraceStoreConfig, WarmEngine, WarmOutcome, WarmRequest,
+    MetricsRegistry, RequestTrace, StageSpan, TraceContext, TraceCounters, TraceSpan, TraceStore,
+    TraceStoreConfig, WarmEngine, WarmOutcome, WarmRequest, WarmWorker,
 };
 use shahin_model::Classifier;
-use shahin_tenancy::TenantRegistry;
+use shahin_tenancy::{ColdStart, Lifecycle, TenantRegistry, WarmSlot};
 
 use crate::monitor::{self, MonitorState};
 use crate::protocol::{
@@ -72,19 +82,15 @@ pub struct ServeConfig {
     pub addr: String,
     /// Admission queue bound; pushes beyond it get 429 frames.
     pub queue_capacity: usize,
-    /// Micro-batch flush threshold.
-    pub max_batch: usize,
-    /// Micro-batch flush delay: how long the batcher holds an open batch
-    /// waiting for co-batchable requests.
-    pub max_delay: Duration,
-    /// Refresh the warm store every this many micro-batches (0 = never).
+    /// Refresh the warm store every this many answered requests
+    /// (0 = never).
     pub refresh_every: u64,
     /// How often idle readers and the acceptor poll the shutdown flag.
     pub poll_interval: Duration,
     /// Per-frame write timeout. A client that stops reading (full TCP
     /// window) past this is treated as hung up: its connection is marked
     /// dead and further responses for it are dropped, so a stalled
-    /// socket never blocks the batcher for other requests.
+    /// socket holds a worker for at most one timeout.
     pub write_timeout: Duration,
     /// Accept admin frames (`shutdown`, `metrics`, `stats`) from
     /// non-loopback peers. Off by default: when `addr` binds a
@@ -135,8 +141,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             queue_capacity: 1024,
-            max_batch: 32,
-            max_delay: Duration::from_millis(5),
             refresh_every: 0,
             poll_interval: Duration::from_millis(50),
             write_timeout: Duration::from_secs(1),
@@ -157,7 +161,7 @@ impl Default for ServeConfig {
 }
 
 /// One client connection's write half, shared by its reader thread (pong
-/// and error frames) and the batcher (served explanations).
+/// and error frames) and the workers (served explanations).
 struct Conn {
     stream: Mutex<TcpStream>,
     /// Whether the peer is a loopback address (gates admin frames).
@@ -169,22 +173,20 @@ struct Conn {
 }
 
 impl Conn {
-    /// Writes one frame plus the line terminator, bounded by the
-    /// stream's write timeout. Errors (including the timeout a stalled
-    /// client causes) mean the client is gone or not reading: the
-    /// connection is marked dead, the socket shut down so its reader
-    /// unblocks and cleans up, and this and all further responses for
-    /// it are dropped on the floor.
-    fn send(&self, frame: &str) {
+    /// Writes one frame plus the line terminator as a single write (one
+    /// syscall, one segment under `TCP_NODELAY`), bounded by the stream's
+    /// write timeout; the lock covers nothing else. Errors (including
+    /// the timeout a stalled client causes) mean the client is gone or
+    /// not reading: the connection is marked dead, the socket shut down
+    /// so its reader unblocks and cleans up, and this and all further
+    /// responses for it are dropped on the floor.
+    fn send(&self, mut frame: String) {
         if self.dead.load(Ordering::Relaxed) {
             return;
         }
+        frame.push('\n');
         let mut stream = self.stream.lock().unwrap();
-        let wrote = stream
-            .write_all(frame.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
-            .and_then(|()| stream.flush());
-        if wrote.is_err() {
+        if stream.write_all(frame.as_bytes()).is_err() {
             self.dead.store(true, Ordering::Relaxed);
             let _ = stream.shutdown(Shutdown::Both);
         }
@@ -195,13 +197,13 @@ impl Conn {
     }
 }
 
-/// An admitted explain request waiting for the batcher.
+/// An admitted explain request waiting for a worker.
 pub(crate) struct Pending {
     conn: Arc<Conn>,
     /// Client frame id, echoed on the response.
     frame_id: u64,
-    /// Registry index of the tenant the request routed to; the batcher
-    /// groups by it and releases the tenant's quota after answering.
+    /// Registry index of the tenant the request routed to; the worker
+    /// releases the tenant's quota after answering.
     tenant: usize,
     /// Warm-set row to explain.
     row: usize,
@@ -216,12 +218,11 @@ pub(crate) struct Pending {
     trace: Option<TraceContext>,
 }
 
-/// The server's request-tracing state: the sink engine workers deposit
-/// stage spans into, the tail-sampled store of retained traces, and the
-/// trace-id mint. `None` on [`Shared::traces`] when `trace_store` is 0.
+/// The server's request-tracing state: the tail-sampled store of
+/// retained traces and the trace-id mint. `None` on [`Shared::traces`]
+/// when `trace_store` is 0.
 pub(crate) struct TracePlane {
     pub(crate) store: TraceStore,
-    pub(crate) sink: Arc<TraceSink>,
     /// Ids start at 1: 0 means "no exemplar" in histogram bucket slots.
     next_trace_id: AtomicU64,
 }
@@ -232,15 +233,34 @@ impl TracePlane {
     }
 }
 
+/// One tenant's cold-start gate. While a worker materializes the tenant
+/// (`warming`), requests other workers pick up for it park here instead
+/// of blocking on the registry's per-tenant mutex; the starting worker
+/// re-queues them when it is done. Never held across the start itself.
+#[derive(Default)]
+struct Gate {
+    warming: bool,
+    parked: Vec<Pending>,
+}
+
 pub(crate) struct Shared<C: Classifier> {
     pub(crate) cluster: Arc<TenantRegistry<C>>,
     pub(crate) queue: Admission<Pending>,
+    /// Indexed like the registry's tenants.
+    gates: Vec<Mutex<Gate>>,
     shutdown: AtomicBool,
-    /// Set by the batcher once the backlog is fully answered; readers
-    /// hold connections open (answering 503s) until then.
+    /// Set by the last worker to exit, once the backlog is fully
+    /// answered; readers hold connections open (answering 503s) until
+    /// then.
     drained: AtomicBool,
+    /// Workers still running; the one that takes this to zero flags the
+    /// drain.
+    workers_alive: AtomicUsize,
     next_request_id: AtomicU64,
-    /// Requests answered by the batcher (the drain report).
+    /// The next handled request's `batch_id`: its pickup number.
+    next_batch_id: AtomicU64,
+    /// Requests answered by the workers (the drain report, and the clock
+    /// `refresh_every` counts on).
     served: AtomicU64,
     /// Reader threads currently attached to a client connection; the
     /// monitor samples this into the `serve.live_connections` gauge.
@@ -261,16 +281,7 @@ impl<C: Classifier> Shared<C> {
         self.cluster.obs()
     }
 
-    /// The tenant label stamped on a request's trace — only when the
-    /// cluster actually is multi-tenant, so single-tenant traces keep
-    /// the pre-tenancy schema.
-    fn trace_tenant(&self, tenant: usize) -> Option<Arc<str>> {
-        self.cluster
-            .multi()
-            .then(|| Arc::clone(self.cluster.name(tenant)))
-    }
-
-    /// Begins the graceful drain: stop admitting, let the batcher finish
+    /// Begins the graceful drain: stop admitting, let the workers finish
     /// the backlog, wake everything that polls.
     fn trigger_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
@@ -296,7 +307,7 @@ pub struct ServerHandle<C: Classifier + 'static> {
     addr: SocketAddr,
     shared: Arc<Shared<C>>,
     acceptor: JoinHandle<()>,
-    batcher: JoinHandle<()>,
+    workers: Vec<JoinHandle<()>>,
     monitor: JoinHandle<()>,
 }
 
@@ -312,38 +323,53 @@ impl<C: Classifier + 'static> ServerHandle<C> {
     }
 
     /// Blocks until the drain completes and all server threads exit;
-    /// returns the number of requests the batcher answered. The monitor
+    /// returns the number of requests the workers answered. The monitor
     /// exits after its final post-drain tick, so the last metrics-out
     /// rewrite reflects the drained state.
     pub fn wait(self) -> u64 {
         self.acceptor.join().expect("acceptor thread panicked");
-        self.batcher.join().expect("batcher thread panicked");
+        for worker in self.workers {
+            worker.join().expect("worker thread panicked");
+        }
         self.monitor.join().expect("monitor thread panicked");
         self.shared.served.load(Ordering::SeqCst)
     }
 }
 
 impl Server {
-    /// Binds `config.addr` and spawns the acceptor and batcher threads
-    /// over a primed engine — the single-tenant path, wrapping the
-    /// engine as a one-tenant cluster (no tenant labels, no lifecycle
-    /// management; `--snapshot-out` becomes the tenant's snapshot path).
+    /// Binds `config.addr` and spawns the acceptor and a pool of
+    /// [`WarmEngine::n_workers`] workers over a primed engine — the
+    /// single-tenant path, wrapping the engine as a one-tenant cluster
+    /// (no tenant labels, no lifecycle management; `--snapshot-out`
+    /// becomes the tenant's snapshot path).
     pub fn start<C: Classifier + 'static>(
         engine: Arc<WarmEngine<C>>,
         config: ServeConfig,
     ) -> std::io::Result<ServerHandle<C>> {
+        let n_workers = engine.n_workers();
         let cluster = Arc::new(TenantRegistry::single(engine, config.snapshot_out.clone()));
-        Server::start_cluster(cluster, config)
+        Server::start_pool(cluster, config, n_workers)
     }
 
     /// Binds `config.addr` over a tenant cluster: requests route by
     /// their `tenant` field, tenants materialize lazily, and the monitor
     /// runs the FaaS lifecycle (idle/budget eviction, per-tenant
-    /// snapshots) every tick.
+    /// snapshots) every tick. One worker per available core serves all
+    /// tenants.
     pub fn start_cluster<C: Classifier + 'static>(
         cluster: Arc<TenantRegistry<C>>,
         config: ServeConfig,
     ) -> std::io::Result<ServerHandle<C>> {
+        let n_workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        Server::start_pool(cluster, config, n_workers)
+    }
+
+    pub(crate) fn start_pool<C: Classifier + 'static>(
+        cluster: Arc<TenantRegistry<C>>,
+        config: ServeConfig,
+        n_workers: usize,
+    ) -> std::io::Result<ServerHandle<C>> {
+        let n_workers = n_workers.max(1);
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -364,28 +390,25 @@ impl Server {
             ],
             error_rate_objective: config.slo_error_rate,
         };
-        // Tracing on: attach the stage sink so engine workers can see it,
-        // and bound the retained-trace ring per the config knobs.
-        let traces = (config.trace_store > 0).then(|| {
-            let sink = Arc::new(TraceSink::new());
-            cluster.obs().attach_trace_sink(Arc::clone(&sink));
-            TracePlane {
-                store: TraceStore::new(TraceStoreConfig {
-                    capacity: config.trace_store,
-                    sample: config.trace_sample,
-                    slow: config.trace_slow,
-                    ..TraceStoreConfig::default()
-                }),
-                sink,
-                next_trace_id: AtomicU64::new(1),
-            }
+        // Tracing on: bound the retained-trace ring per the config knobs.
+        let traces = (config.trace_store > 0).then(|| TracePlane {
+            store: TraceStore::new(TraceStoreConfig {
+                capacity: config.trace_store,
+                sample: config.trace_sample,
+                slow: config.trace_slow,
+                ..TraceStoreConfig::default()
+            }),
+            next_trace_id: AtomicU64::new(1),
         });
         let shared = Arc::new(Shared {
+            gates: (0..cluster.len()).map(|_| Mutex::default()).collect(),
             cluster,
             queue: Admission::new(config.queue_capacity),
             shutdown: AtomicBool::new(false),
             drained: AtomicBool::new(false),
+            workers_alive: AtomicUsize::new(n_workers),
             next_request_id: AtomicU64::new(0),
+            next_batch_id: AtomicU64::new(0),
             served: AtomicU64::new(0),
             live_connections: AtomicU64::new(0),
             monitor: MonitorState::new(config.windows, slo),
@@ -393,37 +416,32 @@ impl Server {
             traces,
             config,
         });
-        // Server threads carry names so EventSink timeline lanes and
-        // panic messages identify their role.
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("acceptor".into())
-                .spawn(move || accept_loop(listener, shared))
-                .expect("spawn acceptor")
-        };
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("batcher".into())
-                .spawn(move || batch_loop(shared))
-                .expect("spawn batcher")
-        };
-        let monitor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("monitor".into())
-                .spawn(move || monitor::monitor_loop(shared))
-                .expect("spawn monitor")
-        };
+        let (s1, s2) = (Arc::clone(&shared), Arc::clone(&shared));
+        let acceptor = spawn_named("acceptor".into(), move || accept_loop(listener, s1));
+        let workers = (0..n_workers)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                spawn_named(format!("worker-{i}"), move || worker_loop(shared))
+            })
+            .collect();
+        let monitor = spawn_named("monitor".into(), move || monitor::monitor_loop(s2));
         Ok(ServerHandle {
             addr,
             shared,
             acceptor,
-            batcher,
+            workers,
             monitor,
         })
     }
+}
+
+/// Server threads carry names so EventSink timeline lanes and panic
+/// messages identify their role.
+fn spawn_named(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("spawn server thread")
 }
 
 /// Accepts connections until shutdown, spawning one reader thread each,
@@ -444,16 +462,11 @@ fn accept_loop<C: Classifier + 'static>(listener: TcpListener, shared: Arc<Share
                 let _ = stream.set_nodelay(true);
                 shared.obs().counter(names::SERVE_CONNECTIONS).inc();
                 let shared = Arc::clone(&shared);
-                readers.push(
-                    std::thread::Builder::new()
-                        .name("reader".into())
-                        .spawn(move || read_loop(stream, shared))
-                        .expect("spawn reader"),
-                );
+                readers.push(spawn_named("reader".into(), move || {
+                    read_loop(stream, shared)
+                }));
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.config.poll_interval);
-            }
+            // Nothing pending (`WouldBlock`) or a transient accept error.
             Err(_) => std::thread::sleep(shared.config.poll_interval),
         }
     }
@@ -472,8 +485,8 @@ fn accept_loop<C: Classifier + 'static>(listener: TcpListener, shared: Arc<Share
 fn read_loop<C: Classifier + 'static>(stream: TcpStream, shared: Arc<Shared<C>>) {
     // Blocking socket with a read timeout: the reader wakes every tick
     // to notice a drain even when the client sends nothing. The write
-    // timeout bounds how long a response frame can stall the batcher on
-    // a client that stopped reading.
+    // timeout bounds how long a response frame can stall a worker on a
+    // client that stopped reading.
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
@@ -511,7 +524,7 @@ fn read_loop<C: Classifier + 'static>(stream: TcpStream, shared: Arc<Shared<C>>)
             {
                 // Read timeout tick. Connections stay open through the
                 // drain (in-flight frames still get typed 503s) and close
-                // once the batcher has answered the whole backlog.
+                // once the workers have answered the whole backlog.
                 if shared.drained() || conn.is_dead() {
                     break;
                 }
@@ -526,7 +539,7 @@ fn read_loop<C: Classifier + 'static>(stream: TcpStream, shared: Arc<Shared<C>>)
         if !discarding {
             if line.len() + chunk_len > MAX_FRAME_LEN {
                 shared.obs().counter(names::SERVE_REJECTED_MALFORMED).inc();
-                conn.send(&error_frame(
+                conn.send(error_frame(
                     0,
                     &WireError::bad_request(format!("frame exceeds {MAX_FRAME_LEN} bytes")),
                 ));
@@ -559,16 +572,28 @@ fn handle_frame<C: Classifier>(line: &str, conn: &Arc<Conn>, shared: &Shared<C>)
         Ok(request) => request,
         Err(err) => {
             obs.counter(names::SERVE_REJECTED_MALFORMED).inc();
-            conn.send(&error_frame(parse_frame_id(line), &err));
+            conn.send(error_frame(parse_frame_id(line), &err));
             return;
         }
     };
     match request {
+        // Admin frames act on the server only from loopback peers, unless
+        // the operator opted in.
+        Request::Shutdown { id }
+        | Request::Metrics { id, .. }
+        | Request::Stats { id }
+        | Request::Snapshot { id }
+        | Request::Trace { id, .. }
+            if !admin_permitted(conn.peer_loopback, shared.config.allow_remote_shutdown) =>
+        {
+            obs.counter(names::SERVE_REJECTED_FORBIDDEN).inc();
+            conn.send(error_frame(id, &WireError::forbidden()));
+        }
         Request::Ping { id } => {
             let uptime_secs = shared.monitor.started.elapsed().as_secs();
             let (entries, _) = shared.cluster.warm_totals();
             let tenants = monitor::tenant_stats(shared);
-            conn.send(&pong_frame(
+            conn.send(pong_frame(
                 id,
                 uptime_secs,
                 env!("CARGO_PKG_VERSION"),
@@ -577,45 +602,27 @@ fn handle_frame<C: Classifier>(line: &str, conn: &Arc<Conn>, shared: &Shared<C>)
             ));
         }
         Request::Shutdown { id } => {
-            if !admin_permitted(conn.peer_loopback, shared.config.allow_remote_shutdown) {
-                obs.counter(names::SERVE_REJECTED_FORBIDDEN).inc();
-                conn.send(&error_frame(id, &WireError::forbidden()));
-                return;
-            }
-            conn.send(&shutdown_frame(id));
+            // Close first: a client that has seen the ack can rely on
+            // every later explain bouncing with 503.
             shared.trigger_shutdown();
+            conn.send(shutdown_frame(id));
         }
         Request::Metrics { id, format } => {
-            if !admin_permitted(conn.peer_loopback, shared.config.allow_remote_shutdown) {
-                obs.counter(names::SERVE_REJECTED_FORBIDDEN).inc();
-                conn.send(&error_frame(id, &WireError::forbidden()));
-                return;
-            }
             obs.counter(names::SERVE_SCRAPES).inc();
             let snapshot = obs.snapshot();
             let body = match format {
                 MetricsFormat::Prometheus => snapshot.to_prometheus(),
                 MetricsFormat::Json => snapshot.to_json(),
             };
-            conn.send(&metrics_frame(id, format, &body));
+            conn.send(metrics_frame(id, format, &body));
         }
         Request::Stats { id } => {
-            if !admin_permitted(conn.peer_loopback, shared.config.allow_remote_shutdown) {
-                obs.counter(names::SERVE_REJECTED_FORBIDDEN).inc();
-                conn.send(&error_frame(id, &WireError::forbidden()));
-                return;
-            }
             obs.counter(names::SERVE_SCRAPES).inc();
-            conn.send(&stats_frame(id, &monitor::stats_summary(shared)));
+            conn.send(stats_frame(id, &monitor::stats_summary(shared)));
         }
         Request::Snapshot { id } => {
-            if !admin_permitted(conn.peer_loopback, shared.config.allow_remote_shutdown) {
-                obs.counter(names::SERVE_REJECTED_FORBIDDEN).inc();
-                conn.send(&error_frame(id, &WireError::forbidden()));
-                return;
-            }
             if !shared.cluster.persists() {
-                conn.send(&error_frame(id, &WireError::snapshots_disabled()));
+                conn.send(error_frame(id, &WireError::snapshots_disabled()));
                 return;
             }
             obs.counter(names::PERSIST_SNAPSHOTS_REQUESTED).inc();
@@ -628,19 +635,14 @@ fn handle_frame<C: Classifier>(line: &str, conn: &Arc<Conn>, shared: &Shared<C>)
                 // snapshot_dir.
                 None => "<per-tenant>".to_string(),
             };
-            conn.send(&snapshot_frame(id, &path));
+            conn.send(snapshot_frame(id, &path));
         }
         Request::Trace { id, query, format } => {
-            if !admin_permitted(conn.peer_loopback, shared.config.allow_remote_shutdown) {
-                obs.counter(names::SERVE_REJECTED_FORBIDDEN).inc();
-                conn.send(&error_frame(id, &WireError::forbidden()));
-                return;
-            }
             // Counted apart from serve.scrapes: trace fetches are debug
             // traffic, not metrics-plane load.
             obs.counter(names::SERVE_TRACE_FETCHES).inc();
             let Some(traces) = &shared.traces else {
-                conn.send(&error_frame(id, &WireError::tracing_disabled()));
+                conn.send(error_frame(id, &WireError::tracing_disabled()));
                 return;
             };
             let stats = TraceStoreStats {
@@ -651,16 +653,16 @@ fn handle_frame<C: Classifier>(line: &str, conn: &Arc<Conn>, shared: &Shared<C>)
             };
             match query {
                 TraceQuery::ById(trace_id) => match traces.store.get(trace_id) {
-                    Some(trace) => conn.send(&trace_frame(id, &trace, format)),
+                    Some(trace) => conn.send(trace_frame(id, &trace, format)),
                     None => {
-                        conn.send(&error_frame(id, &WireError::trace_not_found(trace_id)));
+                        conn.send(error_frame(id, &WireError::trace_not_found(trace_id)));
                     }
                 },
                 TraceQuery::Slowest(n) => {
-                    conn.send(&traces_frame(id, &traces.store.slowest(n), stats));
+                    conn.send(traces_frame(id, &traces.store.slowest(n), stats));
                 }
                 TraceQuery::Errors => {
-                    conn.send(&traces_frame(id, &traces.store.errors(), stats));
+                    conn.send(traces_frame(id, &traces.store.errors(), stats));
                 }
             }
         }
@@ -672,7 +674,7 @@ fn handle_frame<C: Classifier>(line: &str, conn: &Arc<Conn>, shared: &Shared<C>)
         } => {
             if shared.shutting_down() {
                 obs.counter(names::SERVE_REJECTED_SHUTDOWN).inc();
-                conn.send(&error_frame(id, &WireError::shutting_down()));
+                conn.send(error_frame(id, &WireError::shutting_down()));
                 return;
             }
             // Route first: the row bound and quota are per-tenant.
@@ -680,20 +682,20 @@ fn handle_frame<C: Classifier>(line: &str, conn: &Arc<Conn>, shared: &Shared<C>)
             // is a routing 404, not malformed input.
             let Some(tidx) = shared.cluster.resolve(tenant.as_deref()) else {
                 let name = tenant.as_deref().unwrap_or_default();
-                conn.send(&error_frame(id, &WireError::unknown_tenant(name)));
+                conn.send(error_frame(id, &WireError::unknown_tenant(name)));
                 return;
             };
             let n_rows = shared.cluster.n_rows(tidx);
             if row >= n_rows {
                 obs.counter(names::SERVE_REJECTED_MALFORMED).inc();
-                conn.send(&error_frame(id, &WireError::row_out_of_range(row, n_rows)));
+                conn.send(error_frame(id, &WireError::row_out_of_range(row, n_rows)));
                 return;
             }
             // Quota gate: every admitted request holds one in-flight slot
-            // until the batcher answers it (release in batch_loop).
+            // until a worker answers it (release in `Shared::finish`).
             if !shared.cluster.try_admit(tidx) {
                 let quota = shared.cluster.quota(tidx).unwrap_or(0);
-                conn.send(&error_frame(
+                conn.send(error_frame(
                     id,
                     &WireError::tenant_over_quota(shared.cluster.name(tidx), quota),
                 ));
@@ -748,55 +750,40 @@ fn ns_since(t0: Instant, t: Instant) -> u64 {
     u64::try_from(t.saturating_duration_since(t0).as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Answers a queue-rejected request (429/503) with an error frame and,
-/// when traced, retains a minimal error trace — admission is where trace
-/// ids are minted, so even never-batched requests stay debuggable.
+/// Answers a request that dies before reaching an engine — refused by
+/// the queue (429/503) or past its deadline at pickup (408) — with an
+/// error frame and, when traced, retains a minimal error trace:
+/// admission is where trace ids are minted, so even never-explained
+/// requests stay debuggable.
 fn reject_traced<C: Classifier>(shared: &Shared<C>, rejected: &Pending, err: &WireError) {
     let trace_id = rejected.trace.map(|ctx| ctx.trace_id);
     // Offer before sending so a fetch issued right after the error frame
     // never races the store insert.
     if let (Some(traces), Some(ctx)) = (&shared.traces, rejected.trace) {
         let total_ns = ns_since(rejected.enqueued, Instant::now());
-        traces.store.offer(assemble_trace(AssembleArgs {
-            ctx,
-            row: rejected.row,
-            request_id: rejected.request_id,
-            tenant: shared.trace_tenant(rejected.tenant),
-            batch_id: None,
-            t0: rejected.enqueued,
-            total_ns,
-            queue_ns: total_ns,
-            batch_window: None,
-            stages: Vec::new(),
-            error: true,
-            quarantined: false,
-            degraded: false,
-        }));
+        traces
+            .store
+            .offer(assemble_trace(shared, rejected, ctx, total_ns, None));
     }
     rejected
         .conn
-        .send(&error_frame_traced(rejected.frame_id, err, trace_id));
+        .send(error_frame_traced(rejected.frame_id, err, trace_id));
 }
 
-/// Everything the batcher knows about one finished request, handed to
+/// What a worker measured while handling one request, handed to
 /// [`assemble_trace`].
-struct AssembleArgs {
-    ctx: TraceContext,
-    row: usize,
-    request_id: u64,
-    /// Tenant label (`None` for single-tenant serving — omitted from the
-    /// trace JSON, keeping the pre-tenancy schema).
-    tenant: Option<Arc<str>>,
-    batch_id: Option<u64>,
-    /// The trace's zero point (admission).
-    t0: Instant,
-    total_ns: u64,
-    queue_ns: u64,
-    /// When the request reached the engine: the batch flush's start and
-    /// end instants.
-    batch_window: Option<(Instant, Instant)>,
-    stages: Vec<StageSpan>,
-    error: bool,
+struct Handled<'a> {
+    /// The request's pickup number.
+    batch_id: u64,
+    /// When the worker picked the request up and when it finished with
+    /// it — the `batch` span.
+    picked: Instant,
+    done: Instant,
+    /// Wall time of the tenant's cold start, on the one request whose
+    /// worker ran it: a `coldstart` stage from `picked`.
+    coldstart: Option<Duration>,
+    /// The engine's stage spans ([`WarmWorker::stages`]).
+    stages: &'a [StageSpan],
     quarantined: bool,
     degraded: bool,
 }
@@ -805,249 +792,305 @@ struct AssembleArgs {
 /// `request` span, 1 the `queue` span).
 const BATCH_SPAN: u32 = 2;
 
-/// Builds one finished [`RequestTrace`] from the batcher's measurements
-/// plus the engine's stage spans. Every offset is clamped so children
-/// nest within their parents even under clock-read jitter: `queue` and
-/// `batch` within `request`, engine stages within `batch`.
-fn assemble_trace(args: AssembleArgs) -> RequestTrace {
-    let mut counters = TraceCounters::default();
-    let mut spans = Vec::with_capacity(3 + args.stages.len());
-    spans.push(TraceSpan {
-        name: Arc::from("request"),
-        parent: None,
-        start_ns: 0,
-        dur_ns: args.total_ns,
-    });
-    spans.push(TraceSpan {
-        name: Arc::from("queue"),
-        parent: Some(0),
-        start_ns: 0,
-        dur_ns: args.queue_ns.min(args.total_ns),
-    });
-    if let Some((flush_start, flush_end)) = args.batch_window {
-        let start = ns_since(args.t0, flush_start).min(args.total_ns);
-        let end = ns_since(args.t0, flush_end).clamp(start, args.total_ns);
-        debug_assert_eq!(spans.len(), BATCH_SPAN as usize);
-        spans.push(TraceSpan {
-            name: Arc::from("batch"),
-            parent: Some(0),
-            start_ns: start,
-            dur_ns: end - start,
-        });
-        for stage in args.stages {
-            counters.absorb(&stage.counters);
-            let stage_start = ns_since(args.t0, stage.start).clamp(start, end);
-            let stage_dur = u64::try_from(stage.dur.as_nanos())
+/// Builds one finished [`RequestTrace`], its zero point the request's
+/// admission: `queue` is admission → pickup and `batch` the worker's
+/// handling of the request, with the engine's stage spans under it (the
+/// names predate the worker pool; consumers read them by name). A
+/// request no worker `handled` is an error trace that queued for its
+/// whole life. Every offset is clamped so children nest within their
+/// parents even under clock-read jitter.
+fn assemble_trace<C: Classifier>(
+    shared: &Shared<C>,
+    pending: &Pending,
+    ctx: TraceContext,
+    total_ns: u64,
+    handled: Option<Handled<'_>>,
+) -> RequestTrace {
+    let t0 = pending.enqueued;
+    let queue_ns = handled
+        .as_ref()
+        .map_or(total_ns, |h| ns_since(t0, h.picked).min(total_ns));
+    let span = |name, parent, start_ns, dur_ns| TraceSpan {
+        name,
+        parent,
+        start_ns,
+        dur_ns,
+    };
+    let mut trace = RequestTrace {
+        trace_id: ctx.trace_id,
+        request_id: pending.request_id,
+        row: pending.row as u64,
+        batch_id: None,
+        // Only when the cluster actually is multi-tenant, so
+        // single-tenant traces keep the pre-tenancy schema.
+        tenant: shared
+            .cluster
+            .multi()
+            .then(|| Arc::clone(shared.cluster.name(pending.tenant))),
+        // request + queue + batch + coldstart + the engine's three stages.
+        spans: Vec::with_capacity(7),
+        counters: TraceCounters::default(),
+        error: true,
+        quarantined: false,
+        degraded: false,
+        total_ns,
+    };
+    trace.spans.push(span("request", None, 0, total_ns));
+    trace.spans.push(span("queue", Some(0), 0, queue_ns));
+    if let Some(h) = handled {
+        let start = queue_ns;
+        let end = ns_since(t0, h.done).clamp(start, total_ns);
+        debug_assert_eq!(trace.spans.len(), BATCH_SPAN as usize);
+        trace.spans.push(span("batch", Some(0), start, end - start));
+        let mut stage = |name, at: Instant, dur: Duration| {
+            let stage_start = ns_since(t0, at).clamp(start, end);
+            let stage_dur = u64::try_from(dur.as_nanos())
                 .unwrap_or(u64::MAX)
                 .min(end - stage_start);
-            spans.push(TraceSpan {
-                name: Arc::from(stage.name),
-                parent: Some(BATCH_SPAN),
-                start_ns: stage_start,
-                dur_ns: stage_dur,
-            });
+            trace
+                .spans
+                .push(span(name, Some(BATCH_SPAN), stage_start, stage_dur));
+        };
+        if let Some(wall) = h.coldstart {
+            stage("coldstart", h.picked, wall);
         }
+        for s in h.stages {
+            trace.counters.absorb(&s.counters);
+            stage(s.name, s.start, s.dur);
+        }
+        trace.batch_id = Some(h.batch_id);
+        (trace.error, trace.quarantined, trace.degraded) =
+            (h.quarantined, h.quarantined, h.degraded);
     }
-    RequestTrace {
-        trace_id: args.ctx.trace_id,
-        request_id: args.request_id,
-        row: args.row as u64,
-        batch_id: args.batch_id,
-        tenant: args.tenant,
-        spans,
-        counters,
-        error: args.error,
-        quarantined: args.quarantined,
-        degraded: args.degraded,
-        total_ns: args.total_ns,
-    }
+    trace
 }
 
-/// Pops micro-batches until the queue closes and drains, explaining each
-/// against the warm engine and answering every request.
-fn batch_loop<C: Classifier>(shared: Arc<Shared<C>>) {
-    let obs = shared.obs().clone();
-    let batch_size = obs.value_histogram(names::SERVE_BATCH_SIZE);
-    let queue_wait = obs.histogram(names::SERVE_QUEUE_WAIT);
-    let latency = obs.histogram(names::SERVE_REQUEST_LATENCY);
-    let mut batches: u64 = 0;
-    while let Some(batch) = shared
-        .queue
-        .pop_batch(shared.config.max_batch, shared.config.max_delay)
-    {
-        obs.gauge(names::SERVE_QUEUE_DEPTH)
-            .set(shared.queue.len() as u64);
-        batch_size.record(batch.len() as u64);
-        obs.counter(names::SERVE_BATCHES).inc();
-        let batch_id = batches;
+impl<C: Classifier> Shared<C> {
+    /// The request's tenant slot, materializing the tenant on this
+    /// worker when it is cold (`Some(ColdStart)`). `None` means another
+    /// worker is mid-start on the tenant: the request was parked and will
+    /// come back through the queue once that start is done — this worker
+    /// is free for other tenants meanwhile.
+    fn warm_slot(
+        &self,
+        pending: Pending,
+    ) -> Option<(Pending, Arc<WarmSlot<C>>, Option<ColdStart>)> {
+        let tenant = pending.tenant;
+        // Warm already, the common case: a lock-free phase read, then the
+        // registry's slot lock, which only an eviction sweep ever holds
+        // for long (and eviction refuses tenants with admitted requests).
+        if self.cluster.lifecycle(tenant) == Lifecycle::Warm {
+            if let Some(slot) = self.cluster.slot(tenant) {
+                return Some((pending, slot, None));
+            }
+        }
+        {
+            let mut gate = self.gates[tenant]
+                .lock()
+                .expect("no worker panics holding a gate");
+            if gate.warming {
+                gate.parked.push(pending);
+                return None;
+            }
+            gate.warming = true;
+        }
+        // Warm by now if another worker's start finished between the
+        // phase read and the gate; `ensure_warm` then just returns it.
+        let (slot, cold) = self.cluster.ensure_warm(tenant);
+        let parked = {
+            let mut gate = self.gates[tenant]
+                .lock()
+                .expect("no worker panics holding a gate");
+            gate.warming = false;
+            std::mem::take(&mut gate.parked)
+        };
+        self.queue.requeue(parked);
+        Some((pending, slot, cold))
+    }
 
-        // Requests whose deadline passed while queued get 408 frames and
-        // never reach the engine; the rest form the micro-batch.
-        let now = Instant::now();
-        let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
-        for pending in batch {
-            queue_wait.record(now.duration_since(pending.enqueued));
-            if pending.deadline.is_some_and(|d| d < now) {
-                obs.counter(names::SERVE_DEADLINE_EXPIRED).inc();
-                if let (Some(traces), Some(ctx)) = (&shared.traces, pending.trace) {
-                    let total_ns = ns_since(pending.enqueued, now);
-                    traces.store.offer(assemble_trace(AssembleArgs {
-                        ctx,
-                        row: pending.row,
-                        request_id: pending.request_id,
-                        tenant: shared.trace_tenant(pending.tenant),
-                        batch_id: None,
-                        t0: pending.enqueued,
-                        total_ns,
-                        queue_ns: total_ns,
-                        batch_window: None,
-                        stages: Vec::new(),
-                        error: true,
-                        quarantined: false,
-                        degraded: false,
-                    }));
-                }
-                pending.conn.send(&error_frame_traced(
-                    pending.frame_id,
-                    &WireError::deadline_expired(),
-                    pending.trace.map(|ctx| ctx.trace_id),
-                ));
-                shared.cluster.release(pending.tenant);
-                shared.served.fetch_add(1, Ordering::SeqCst);
-            } else {
-                live.push(pending);
-            }
-        }
-        // One engine flush per tenant present in the batch, grouped in
-        // arrival order of each tenant's first request: co-tenant
-        // requests still amortize classifier calls across the batch;
-        // cross-tenant ones never share an engine.
-        let mut groups: Vec<(usize, Vec<Pending>)> = Vec::new();
-        for pending in live {
-            match groups.iter_mut().find(|(t, _)| *t == pending.tenant) {
-                Some((_, group)) => group.push(pending),
-                None => groups.push((pending.tenant, vec![pending])),
-            }
-        }
-        for (tenant, group) in groups {
-            let requests: Vec<WarmRequest> = group
-                .iter()
-                .map(|p| WarmRequest {
-                    row: p.row,
-                    request_id: p.request_id,
-                    trace: p.trace.map(|ctx| ctx.trace_id),
-                })
-                .collect();
-            // Batcher occupancy: how many requests the engine is
-            // explaining right now (0 between flushes).
-            obs.gauge(names::SERVE_BATCH_INFLIGHT)
-                .set(group.len() as u64);
-            let flush_start = Instant::now();
-            // Lazy materialization: a cold tenant's first batch pays its
-            // cold start here, inside the flush window, so the synthetic
-            // `coldstart` stage below nests in the `batch` span.
-            let (slot, cold) = shared.cluster.ensure_warm(tenant);
-            let epoch = slot.engine.epoch();
-            // Shard-route every request by its row's frozen-itemset
-            // signature; bit-identical to unsharded explanation because
-            // per-tuple seeding depends only on the global warm row.
-            let assign = slot.assign(&requests);
-            let outcomes = slot
-                .engine
-                .explain_assigned(&requests, &assign, slot.n_workers());
-            let flush_end = Instant::now();
-            obs.gauge(names::SERVE_BATCH_INFLIGHT).set(0);
-            let coldstart = cold.map(|c| StageSpan {
-                name: "coldstart",
-                start: flush_start,
-                dur: c.wall,
-                counters: TraceCounters::default(),
-            });
-            for (pending, outcome) in group.iter().zip(outcomes) {
-                let trace_id = pending.trace.map(|ctx| ctx.trace_id);
-                let (frame, error, quarantined, degraded) = match outcome {
-                    WarmOutcome::Ok {
-                        explanation,
-                        degraded,
-                    } => (
-                        explanation_frame(
-                            pending.frame_id,
-                            pending.row,
-                            &explanation,
-                            degraded,
-                            epoch,
-                            trace_id,
-                        ),
-                        false,
-                        false,
-                        degraded,
-                    ),
-                    WarmOutcome::Failed(failure) => {
-                        obs.counter(names::SERVE_QUARANTINED).inc();
-                        (
-                            error_frame_traced(
-                                pending.frame_id,
-                                &WireError::quarantined(failure.kind, &failure.message),
-                                trace_id,
-                            ),
-                            true,
-                            true,
-                            false,
-                        )
-                    }
-                };
-                let total = pending.enqueued.elapsed();
-                match trace_id {
-                    Some(id) => latency.record_traced(total, id),
-                    None => latency.record(total),
-                }
-                // Offer before sending: once a client sees the trace id in
-                // its response frame, a fetch on the same connection must
-                // not race the store insert.
-                if let (Some(traces), Some(ctx)) = (&shared.traces, pending.trace) {
-                    let mut stages = traces.sink.take(ctx.trace_id);
-                    if let Some(cs) = &coldstart {
-                        stages.insert(0, cs.clone());
-                    }
-                    traces.store.offer(assemble_trace(AssembleArgs {
-                        ctx,
-                        row: pending.row,
-                        request_id: pending.request_id,
-                        tenant: shared.trace_tenant(pending.tenant),
-                        batch_id: Some(batch_id),
-                        t0: pending.enqueued,
-                        total_ns: u64::try_from(total.as_nanos()).unwrap_or(u64::MAX),
-                        queue_ns: ns_since(pending.enqueued, flush_start),
-                        batch_window: Some((flush_start, flush_end)),
-                        stages,
-                        error,
-                        quarantined,
-                        degraded,
-                    }));
-                }
-                pending.conn.send(&frame);
-                shared.cluster.release(tenant);
-                shared.served.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-
-        batches += 1;
-        let every = shared.config.refresh_every;
-        if every > 0 && batches.is_multiple_of(every) {
+    /// Closes out one answered request: frees its quota slot, counts it,
+    /// and runs the `refresh_every` schedule.
+    fn finish(&self, tenant: usize) {
+        self.cluster.release(tenant);
+        let served = self.served.fetch_add(1, Ordering::SeqCst) + 1;
+        let every = self.config.refresh_every;
+        if every > 0 && served.is_multiple_of(every) {
             // Refresh every materialized tenant; cold ones have nothing
             // to refresh.
-            for idx in 0..shared.cluster.len() {
-                if let Some(slot) = shared.cluster.slot(idx) {
+            for idx in 0..self.cluster.len() {
+                if let Some(slot) = self.cluster.slot(idx) {
                     slot.engine.refresh();
                 }
             }
         }
     }
-    // Queue closed and fully drained: every admitted request has been
-    // answered. Flag it for the smoke test's clean-drain assertion.
-    obs.gauge(names::SERVE_QUEUE_DEPTH).set(0);
-    obs.gauge(names::SERVE_DRAINED).set(1);
-    shared.drained.store(true, Ordering::SeqCst);
+}
+
+/// A worker's context on one tenant's engine, keyed by engine identity:
+/// a tenant re-materialized after an eviction is a new engine and gets a
+/// new context. The `Weak` pins the old allocation, so its address
+/// cannot be reused meanwhile.
+type EngineContext<C> = Option<(Weak<WarmEngine<C>>, WarmWorker)>;
+
+fn context_on<'a, C: Classifier>(
+    cached: &'a mut EngineContext<C>,
+    engine: &Arc<WarmEngine<C>>,
+) -> &'a mut WarmWorker {
+    if !cached
+        .as_ref()
+        .is_some_and(|(of, _)| std::ptr::eq(of.as_ptr(), Arc::as_ptr(engine)))
+    {
+        *cached = Some((Arc::downgrade(engine), engine.worker()));
+    }
+    &mut cached.as_mut().expect("filled above").1
+}
+
+/// One pool thread's long-lived state: the metric handles it records
+/// into on every request, and per tenant its context on the engine it
+/// last explained with.
+struct Worker<C: Classifier> {
+    pickups: Counter,
+    pickup_size: ValueHistogram,
+    /// Workers handling a request right now (`serve.batch_inflight`).
+    busy: Gauge,
+    queue_depth: Gauge,
+    queue_wait: Histogram,
+    latency: Histogram,
+    /// Indexed like the registry's tenants.
+    contexts: Vec<EngineContext<C>>,
+}
+
+impl<C: Classifier> Worker<C> {
+    fn new(shared: &Shared<C>) -> Worker<C> {
+        let obs = shared.obs();
+        Worker {
+            pickups: obs.counter(names::SERVE_BATCHES),
+            pickup_size: obs.value_histogram(names::SERVE_BATCH_SIZE),
+            busy: obs.gauge(names::SERVE_BATCH_INFLIGHT),
+            queue_depth: obs.gauge(names::SERVE_QUEUE_DEPTH),
+            queue_wait: obs.histogram(names::SERVE_QUEUE_WAIT),
+            latency: obs.histogram(names::SERVE_REQUEST_LATENCY),
+            contexts: (0..shared.cluster.len()).map(|_| None).collect(),
+        }
+    }
+
+    /// Counts one pickup — the unit the batching-era metrics now measure:
+    /// `serve.batches` pickups, `serve.batch_size` one sample of 1 each,
+    /// `serve.queue_wait` admission → this pickup.
+    fn picked_up(&self, pending: &Pending, picked: Instant) {
+        self.pickups.inc();
+        self.pickup_size.record(1);
+        self.queue_wait
+            .record(picked.saturating_duration_since(pending.enqueued));
+    }
+
+    /// Does the whole of one request on this thread: deadline check, warm
+    /// slot (or park), explain, serialize, send, release.
+    fn handle(&mut self, shared: &Shared<C>, pending: Pending) {
+        let picked = Instant::now();
+        // A deadline that passed while queued gets a 408 frame and never
+        // reaches the engine.
+        if pending.deadline.is_some_and(|d| d < picked) {
+            self.picked_up(&pending, picked);
+            shared.obs().counter(names::SERVE_DEADLINE_EXPIRED).inc();
+            reject_traced(shared, &pending, &WireError::deadline_expired());
+            shared.finish(pending.tenant);
+            return;
+        }
+        let Some((pending, slot, cold)) = shared.warm_slot(pending) else {
+            return;
+        };
+        self.picked_up(&pending, picked);
+        let batch_id = shared.next_batch_id.fetch_add(1, Ordering::Relaxed);
+        self.busy.inc();
+
+        let trace_id = pending.trace.map(|ctx| ctx.trace_id);
+        let epoch = slot.engine.epoch();
+        let context = context_on(&mut self.contexts[pending.tenant], &slot.engine);
+        let request = WarmRequest {
+            row: pending.row,
+            request_id: pending.request_id,
+            trace: trace_id,
+        };
+        let outcome = slot.engine.explain_request(request, context);
+        let (frame, quarantined, degraded) = match outcome {
+            WarmOutcome::Ok {
+                explanation,
+                degraded,
+            } => (
+                explanation_frame(
+                    pending.frame_id,
+                    pending.row,
+                    &explanation,
+                    degraded,
+                    epoch,
+                    trace_id,
+                ),
+                false,
+                degraded,
+            ),
+            WarmOutcome::Failed(failure) => {
+                shared.obs().counter(names::SERVE_QUARANTINED).inc();
+                (
+                    error_frame_traced(
+                        pending.frame_id,
+                        &WireError::quarantined(failure.kind, &failure.message),
+                        trace_id,
+                    ),
+                    true,
+                    false,
+                )
+            }
+        };
+        let done = Instant::now();
+        let total = done.saturating_duration_since(pending.enqueued);
+        match trace_id {
+            Some(id) => self.latency.record_traced(total, id),
+            None => self.latency.record(total),
+        }
+        // Offer before sending: once a client sees the trace id in its
+        // response frame, a fetch on the same connection must not race
+        // the store insert.
+        if let (Some(traces), Some(ctx)) = (&shared.traces, pending.trace) {
+            let total_ns = u64::try_from(total.as_nanos()).unwrap_or(u64::MAX);
+            let handled = Handled {
+                batch_id,
+                picked,
+                done,
+                coldstart: cold.map(|c| c.wall),
+                stages: context.stages(),
+                quarantined,
+                degraded,
+            };
+            traces.store.offer(assemble_trace(
+                shared,
+                &pending,
+                ctx,
+                total_ns,
+                Some(handled),
+            ));
+        }
+        pending.conn.send(frame);
+        self.busy.dec();
+        shared.finish(pending.tenant);
+    }
+}
+
+/// One pool thread: takes requests one at a time until the queue closes
+/// and drains. The last worker out has seen the backlog fully answered
+/// and flags the drain.
+fn worker_loop<C: Classifier>(shared: Arc<Shared<C>>) {
+    let mut worker = Worker::new(&shared);
+    while let Some(pending) = shared.queue.pop() {
+        worker.queue_depth.set(shared.queue.len() as u64);
+        worker.handle(&shared, pending);
+    }
+    if shared.workers_alive.fetch_sub(1, Ordering::SeqCst) == 1 {
+        // Flag it for the smoke test's clean-drain assertion.
+        worker.queue_depth.set(0);
+        shared.obs().gauge(names::SERVE_DRAINED).set(1);
+        shared.drained.store(true, Ordering::SeqCst);
+    }
 }
 
 #[cfg(test)]

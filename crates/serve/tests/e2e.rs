@@ -56,8 +56,6 @@ fn start_server(n_workers: usize) -> (ServerHandle<MajorityClass>, MetricsRegist
     let handle = Server::start(
         engine,
         ServeConfig {
-            max_batch: 8,
-            max_delay: Duration::from_millis(2),
             poll_interval: Duration::from_millis(10),
             // Fast ticks and a deep ring so the windowed aggregator has
             // seen every sample by the time a test interrogates `stats`.
@@ -126,7 +124,7 @@ fn warm_server_matches_offline_batch_parallel_at_1_and_4_workers() {
         assert_eq!(n_rows, warm.n_rows());
 
         // Two clients interleaving rows (even/odd, served in reverse) so
-        // micro-batch composition differs from the offline row order.
+        // pickup order differs from the offline row order.
         let mut clients: Vec<BufReader<TcpStream>> = (0..2).map(|_| connect(&handle)).collect();
         for row in (0..n_rows).rev() {
             let client = &mut clients[row % 2];
@@ -250,10 +248,87 @@ fn admin_shutdown_frame_drains_and_reports_served_requests() {
 }
 
 #[test]
+fn a_lone_request_on_an_idle_server_is_answered_without_a_second_arrival() {
+    // Nothing on the request path waits for company: one request, no
+    // other traffic, and the answer comes back. The bound only catches a
+    // hang — it is far above any timer the server could be waiting out.
+    let (handle, reg, _) = start_server(2);
+    let mut client = connect(&handle);
+    let t = Instant::now();
+    let frame = round_trip(&mut client, "{\"id\": 1, \"method\": \"explain\", \"row\": 0}");
+    assert_eq!(frame.get("ok").unwrap().as_bool(), Some(true));
+    assert!(t.elapsed() < Duration::from_secs(5), "lone request took {:?}", t.elapsed());
+    handle.shutdown();
+    assert_eq!(handle.wait(), 1);
+    let snap = reg.snapshot();
+    assert_eq!(snap.counter(names::SERVE_BATCHES), 1, "one request, one pickup");
+    let sizes = &snap.value_histograms[names::SERVE_BATCH_SIZE];
+    assert_eq!((sizes.count, sizes.sum_ns), (1, 1));
+}
+
+#[test]
+fn shutdown_mid_burst_answers_every_admitted_request_exactly_once() {
+    const BURST: usize = 300;
+    for n_workers in [1usize, 4] {
+        let (handle, reg, n_rows) = start_server(n_workers);
+        let mut clients: Vec<BufReader<TcpStream>> = (0..2).map(|_| connect(&handle)).collect();
+        // Pipeline the whole burst without reading, with a shutdown from
+        // a third connection part-way through. Where the close lands in
+        // the stream is up to the scheduler: frames parsed before it are
+        // admitted, frames parsed after it bounce with 503.
+        let mut admin = connect(&handle);
+        for i in 0..BURST {
+            if i == BURST / 2 {
+                // The burst is under way once anything has been admitted.
+                while reg.snapshot().counter(names::SERVE_REQUESTS) == 0 {
+                    std::thread::yield_now();
+                }
+                admin
+                    .get_mut()
+                    .write_all(b"{\"id\": 9999, \"method\": \"shutdown\"}\n")
+                    .unwrap();
+            }
+            let frame = format!(
+                "{{\"id\": {i}, \"method\": \"explain\", \"row\": {}}}\n",
+                i % n_rows
+            );
+            clients[i % 2].get_mut().write_all(frame.as_bytes()).unwrap();
+        }
+        // Read both connections to EOF (the server closes them once the
+        // drain is complete). No id may be answered twice; an answer is
+        // an explanation (admitted) or a 503 (arrived after the close).
+        let mut answers = vec![0usize; BURST];
+        let mut explained = 0u64;
+        for client in &mut clients {
+            let mut line = String::new();
+            while client.read_line(&mut line).expect("clean EOF after the drain") > 0 {
+                let frame = Json::parse(&line).expect("valid response frame");
+                answers[frame.get("id").unwrap().as_u64().unwrap() as usize] += 1;
+                if frame.get("ok").unwrap().as_bool() == Some(true) {
+                    explained += 1;
+                } else {
+                    assert_eq!(frame.get("code").unwrap().as_u64(), Some(503), "{frame:?}");
+                }
+                line.clear();
+            }
+        }
+        assert!(answers.iter().all(|&n| n <= 1), "an id was answered twice");
+        assert!(explained > 0, "the burst started before the shutdown");
+        // Exactly the admitted requests were explained, each once.
+        assert_eq!(handle.wait(), explained, "{n_workers} workers");
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter(names::SERVE_REQUESTS), explained);
+        assert_eq!(snap.counter(names::SERVE_BATCHES), explained);
+        assert_eq!(snap.gauge(names::SERVE_DRAINED), 1);
+        assert_eq!(snap.gauge(names::SERVE_BATCH_INFLIGHT), 0, "no worker still busy");
+    }
+}
+
+#[test]
 fn explains_arriving_mid_drain_are_rejected_with_503() {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    // A classifier that can be frozen after priming, so the batcher is
+    // A classifier that can be frozen after priming, so the worker is
     // provably still draining when the late frames arrive.
     struct Gated {
         hold: Arc<AtomicBool>,
@@ -293,7 +368,6 @@ fn explains_arriving_mid_drain_are_rejected_with_503() {
     let handle = Server::start(
         engine,
         ServeConfig {
-            max_delay: Duration::from_millis(2),
             poll_interval: Duration::from_millis(10),
             ..Default::default()
         },
@@ -306,7 +380,7 @@ fn explains_arriving_mid_drain_are_rejected_with_503() {
         .get_mut()
         .write_all(b"{\"id\": 1, \"method\": \"explain\", \"row\": 0}\n")
         .unwrap();
-    // Let the batcher pick it up and block inside the engine.
+    // Let the worker pick it up and block inside the engine.
     std::thread::sleep(Duration::from_millis(50));
     let mut admin = connect(&handle);
     let frame = round_trip(&mut admin, "{\"id\": 90, \"method\": \"shutdown\"}");
@@ -576,7 +650,6 @@ fn slow_request_trace_round_trips_with_nested_spans() {
     let handle = Server::start(
         engine,
         ServeConfig {
-            max_delay: Duration::from_millis(2),
             poll_interval: Duration::from_millis(10),
             monitor_interval: Duration::from_millis(20),
             windows: 256,
@@ -610,7 +683,7 @@ fn slow_request_trace_round_trips_with_nested_spans() {
     assert_eq!(trace.get("row").and_then(Json::as_u64), Some(0));
     assert!(
         trace.get("batch_id").and_then(Json::as_u64).is_some(),
-        "a served request records its micro-batch"
+        "a served request records its pickup"
     );
 
     let spans = check_span_tree(trace);
@@ -698,8 +771,6 @@ fn tail_sampling_retains_every_quarantined_trace_and_samples_the_rest() {
     let handle = Server::start(
         engine,
         ServeConfig {
-            max_batch: 8,
-            max_delay: Duration::from_millis(2),
             poll_interval: Duration::from_millis(10),
             // A long monitor interval keeps the slow-K reservoir to a
             // handful of windows, so the retained-success bound below is
@@ -824,7 +895,7 @@ fn tail_sampling_retains_every_quarantined_trace_and_samples_the_rest() {
 
 #[test]
 fn queued_deadline_expiry_yields_408() {
-    // deadline_ms: 0 expires by the time the batcher dequeues it.
+    // deadline_ms: 0 expires by the time a worker dequeues it.
     let (handle, reg, _) = start_server(1);
     let mut client = connect(&handle);
     let frame = round_trip(

@@ -93,8 +93,6 @@ fn start_cluster(
     let handle = Server::start_cluster(
         cluster,
         ServeConfig {
-            max_batch: 8,
-            max_delay: Duration::from_millis(2),
             poll_interval: Duration::from_millis(10),
             monitor_interval: Duration::from_millis(25),
             ..Default::default()
@@ -296,7 +294,7 @@ fn quota_exhausted_tenants_answer_429_naming_the_tenant() {
     assert_eq!(frame.get("error").unwrap().as_str(), Some("tenant_over_quota"));
     assert_eq!(frame.get("tenant").unwrap().as_str(), Some("initech"));
 
-    // A quota rejection happens at admission, before the batcher could
+    // A quota rejection happens at admission, before a worker could
     // materialize anything: the bounced tenant must still be cold.
     assert_eq!(tenant_state(&mut client, "initech"), "cold");
 
@@ -457,9 +455,9 @@ fn each_tenant_serves_bit_identical_to_its_offline_batch_parallel() {
     );
     let mut client = connect(&handle);
 
-    // Rows in reverse, tenants interleaved per row, so micro-batch
-    // composition resembles neither the offline row order nor a
-    // single-tenant stream.
+    // Rows in reverse, tenants interleaved per row, so pickup order
+    // resembles neither the offline row order nor a single-tenant
+    // stream.
     for row in (0..WARM_ROWS).rev() {
         for ((name, _), donor) in presets.iter().zip(&offline) {
             let frame = round_trip(

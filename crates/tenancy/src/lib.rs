@@ -9,13 +9,14 @@
 //! global memory budget, and evicted LRU-idle with a final at-evict
 //! snapshot so re-admission never touches the classifier.
 //!
-//! Within a tenant, requests are routed to workers by a consistent-hash
-//! [`shard::ShardMap`] over each warm row's frozen-itemset signature
-//! ([`shahin::WarmEngine::row_signature`]), so rows that share
-//! materialized perturbations land on the same worker and its cache.
-//! Sharding is pure routing: engines are bit-identical under any
-//! request→worker assignment (per-tuple seeding depends only on the
-//! global row index), which `tests/shard_identity.rs` proptests.
+//! Within a tenant, a consistent-hash [`shard::ShardMap`] over each warm
+//! row's frozen-itemset signature ([`shahin::WarmEngine::row_signature`])
+//! partitions rows so that those sharing materialized perturbations land
+//! in the same shard. It is library API: the serve workers pull from one
+//! shared queue and do not route by it. Sharding is pure routing either
+//! way: engines are bit-identical under any request→worker assignment
+//! (per-tuple seeding depends only on the global row index), which
+//! `tests/shard_identity.rs` proptests.
 //!
 //! The crate is deliberately serve-agnostic — it knows engines,
 //! snapshots, and metrics, not sockets — so the lifecycle is unit- and

@@ -75,8 +75,8 @@ impl Lifecycle {
 }
 
 /// A materialized tenant: the engine plus its consistent-hash routing
-/// table, built once per cold start so the per-request path is two
-/// array reads.
+/// table, built once per cold start. The serve workers use the engine
+/// only; the routing table is library API (see [`crate::shard`]).
 pub struct WarmSlot<C: Classifier> {
     pub engine: Arc<WarmEngine<C>>,
     map: ShardMap,
@@ -100,7 +100,7 @@ impl<C: Classifier> WarmSlot<C> {
         }
     }
 
-    /// Workers (= shards) this tenant's requests spread over.
+    /// Shards this tenant's rows partition into.
     pub fn n_workers(&self) -> usize {
         self.map.n_shards()
     }
@@ -110,8 +110,7 @@ impl<C: Classifier> WarmSlot<C> {
         self.row_shards[row] as usize
     }
 
-    /// The request→worker assignment for one micro-batch, ready for
-    /// [`WarmEngine::explain_assigned`].
+    /// The shard of each request's row, in request order.
     pub fn assign(&self, requests: &[WarmRequest]) -> Vec<usize> {
         requests.iter().map(|r| self.shard_of_row(r.row)).collect()
     }
@@ -435,7 +434,10 @@ impl<C: Classifier> TenantRegistry<C> {
     /// and publishes the slot. Counted under `tenancy.cold_starts` /
     /// `tenancy.hydrations` with wall time in
     /// `tenancy.cold_start_latency`; the `Some(ColdStart)` return is the
-    /// batcher's cue to add a `coldstart` span to request traces.
+    /// serve worker's cue to add a `coldstart` span to its request's
+    /// trace. Callers that arrive while another is mid-start block on
+    /// the tenant's lock until it is done — the serve workers avoid that
+    /// by parking such requests instead (`shahin-serve`'s `Gate`).
     pub fn ensure_warm(&self, idx: usize) -> (Arc<WarmSlot<C>>, Option<ColdStart>) {
         let cell = &self.tenants[idx];
         let mut state = cell.state.lock();
@@ -536,7 +538,7 @@ impl<C: Classifier> TenantRegistry<C> {
             return Err(EvictRefused::NotWarm);
         }
         // Checked under the state lock: admission bumps inflight before
-        // the batcher can touch the slot, so a zero here means no
+        // a worker can touch the slot, so a zero here means no
         // request can be between admit and response.
         if cell.inflight.load(Ordering::Acquire) > 0 {
             return Err(EvictRefused::Inflight);

@@ -1,10 +1,12 @@
 //! Consistent-hash shard map: frozen-itemset signatures → workers.
 //!
-//! Each tenant's warm repository is logically sharded across the worker
-//! pool so that rows matching the same frequent-itemset family — the
-//! rows that share materialized perturbations — are explained by the
-//! same worker, keeping one store neighborhood hot in one worker's
-//! cache. The map is a classic consistent-hash ring: every shard owns
+//! A tenant's warm rows partition into shards so that rows matching the
+//! same frequent-itemset family — the rows that share materialized
+//! perturbations — land in the same shard. Library API only: the serve
+//! workers pull from one shared queue instead (work conservation is
+//! what removes head-of-line blocking, and the warm store is small
+//! enough that worker affinity bought nothing measurable — DESIGN.md
+//! §5k), so today nothing routes by this map. The map is a classic consistent-hash ring: every shard owns
 //! `vnodes` pseudo-random points on the `u64` circle, and a signature
 //! is routed to the shard owning the first point at or after it.
 //! Consistency is what makes the pool elastically resizable: growing
@@ -12,8 +14,8 @@
 //! signatures, so most rows keep their worker (and its warm cache)
 //! across a resize.
 //!
-//! Routing never affects results: [`shahin::WarmEngine::explain_assigned`]
-//! is bit-identical under any assignment, which
+//! Routing never affects results: [`shahin::WarmEngine::explain_request`]
+//! is bit-identical on whichever worker runs it, which
 //! `tests/shard_identity.rs` proptests.
 
 /// One SplitMix64 step — the same mixer the core crate uses for seeds

@@ -87,9 +87,8 @@ fn explain_all(slot: &Arc<WarmSlot<MajorityClass>>) -> Vec<FeatureWeights> {
             trace: None,
         })
         .collect();
-    let assign = slot.assign(&reqs);
     slot.engine
-        .explain_assigned(&reqs, &assign, slot.n_workers())
+        .explain(&reqs)
         .into_iter()
         .map(|out| match out {
             WarmOutcome::Ok { explanation, .. } => explanation.weights().unwrap().clone(),

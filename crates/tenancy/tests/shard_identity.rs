@@ -1,8 +1,8 @@
 //! Property test: consistent-hash sharding is pure routing. For any
-//! ring size, vnode count, and request mix, explaining through
-//! [`ShardMap`]-derived assignments is bit-identical to the engine's
-//! own chunked `explain` — per-tuple seeding depends only on the global
-//! warm row, never on which worker runs it.
+//! ring size, vnode count, and request mix, explaining each request on
+//! the worker its [`ShardMap`] shard names is bit-identical to the
+//! engine's own chunked `explain` — per-tuple seeding depends only on
+//! the global warm row, never on which worker runs it.
 
 use std::sync::OnceLock;
 
@@ -71,8 +71,9 @@ fn requests(rows: &[usize]) -> Vec<WarmRequest> {
         .collect()
 }
 
-/// Explains `rows`, through `explain_assigned` when an assignment is
-/// given and the engine's own chunking otherwise.
+/// Explains `rows`: request `i` on worker `assign[i]`'s long-lived
+/// context when an assignment is given, through the engine's own
+/// chunking otherwise.
 fn explain_rows(
     engine: &WarmEngine<MajorityClass>,
     rows: &[usize],
@@ -80,8 +81,14 @@ fn explain_rows(
     n_workers: usize,
 ) -> Vec<FeatureWeights> {
     let reqs = requests(rows);
-    let outs = match assign {
-        Some(assign) => engine.explain_assigned(&reqs, assign, n_workers),
+    let outs: Vec<WarmOutcome> = match assign {
+        Some(assign) => {
+            let mut workers: Vec<_> = (0..n_workers).map(|_| engine.worker()).collect();
+            reqs.iter()
+                .zip(assign)
+                .map(|(&req, &w)| engine.explain_request(req, &mut workers[w]))
+                .collect()
+        }
         None => engine.explain(&reqs),
     };
     outs.into_iter()

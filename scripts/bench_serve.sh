@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Serving load benchmark: drives the warm micro-batching server and the
+# Serving load benchmark: drives the warm worker-pool server and the
 # cold per-request offline driver over an identical request schedule and
 # writes BENCH_serve.json to the repo root. The warm arm must win on mean
 # latency, store hit rate, and classifier invocations per request — see

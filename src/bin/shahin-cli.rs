@@ -47,8 +47,8 @@ USAGE:
                      [--chaos-panic F] [--chaos-seed S]
   shahin-cli serve   --csv <file> --label COL [--explainer lime|anchor|shap]
                      [--addr HOST:PORT] [--warm-rows N] [--seed S]
-                     [--max-batch N] [--max-delay-ms MS] [--queue-capacity N]
-                     [--threads K] [--refresh-every N] [--port-file <file>]
+                     [--queue-capacity N] [--threads K] [--refresh-every N]
+                     [--port-file <file>]
                      [--write-timeout-ms MS] [--allow-remote-shutdown]
                      [--monitor-interval-ms MS] [--windows N]
                      [--slo-p99-ms MS] [--slo-error-rate F]
@@ -72,9 +72,11 @@ SERVING:
       {\"id\": 3, \"method\": \"ping\"}      {\"id\": 4, \"method\": \"shutdown\"}
       {\"id\": 5, \"method\": \"metrics\" [, \"format\": \"json\"]}
       {\"id\": 6, \"method\": \"stats\"}
-  Concurrent requests are coalesced into micro-batches (flush at
-  --max-batch requests or after --max-delay-ms) that share the warm
-  store and Anchor caches. A full admission queue answers 429-style
+  A fixed pool of worker threads (--threads K, default one per core;
+  under --manifest always one per core) takes requests off one queue,
+  one at a time, the moment they arrive: nothing waits for a batch to
+  form, and a slow request or a tenant's cold start occupies one worker
+  while the others keep serving. A full admission queue answers 429-style
   frames; malformed frames get 400-style frames and keep the
   connection open. SIGINT/SIGTERM or an admin shutdown frame drains
   the queue — every admitted request is answered — then exits. The
@@ -83,7 +85,7 @@ SERVING:
   disconnected after --write-timeout-ms per response frame.
   --addr with port 0 picks an ephemeral port; --port-file writes the
   bound port for scripts. --refresh-every N rebuilds the warm store
-  every N micro-batches (0 = never).
+  every N answered requests (0 = never).
 
   A monitor thread samples queue depth, live connections, and warm-store
   size every --monitor-interval-ms (default 1000) and keeps the last
@@ -658,9 +660,14 @@ fn build_serve_config(
 ) -> Result<shahin_serve::ServeConfig, String> {
     use std::time::Duration;
 
+    for gone in ["max-batch", "max-delay-ms"] {
+        if flags.contains_key(gone) {
+            return Err(format!(
+                "--{gone} no longer exists: workers take requests as they arrive, there is no batch window"
+            ));
+        }
+    }
     let addr = get_or(flags, "addr", "127.0.0.1:0");
-    let max_batch: usize = parse_num(get_or(flags, "max-batch", "32"), "max-batch")?;
-    let max_delay_ms: u64 = parse_num(get_or(flags, "max-delay-ms", "5"), "max-delay-ms")?;
     let queue_capacity: usize =
         parse_num(get_or(flags, "queue-capacity", "1024"), "queue-capacity")?;
     let refresh_every: u64 = parse_num(get_or(flags, "refresh-every", "0"), "refresh-every")?;
@@ -704,8 +711,6 @@ fn build_serve_config(
     Ok(shahin_serve::ServeConfig {
         addr: addr.to_string(),
         queue_capacity,
-        max_batch,
-        max_delay: Duration::from_millis(max_delay_ms),
         refresh_every,
         write_timeout: Duration::from_millis(write_timeout_ms),
         allow_remote_shutdown: flags.contains_key("allow-remote-shutdown"),
