@@ -87,7 +87,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use shahin::{
-    BatchConfig, MetricsRegistry, ProvenanceSink, ShahinBatch, WarmEngine, WarmExplainer,
+    BatchConfig, ExplainerKind, MetricsRegistry, ProvenanceSink, ShahinBatch, WarmEngine,
     WarmOutcome, WarmRequest,
 };
 use shahin_bench::json::Json;
@@ -312,7 +312,7 @@ fn main() {
         reg.attach_provenance_sink(Arc::clone(&sink));
         let engine = Arc::new(WarmEngine::prime(
             BatchConfig::default(),
-            WarmExplainer::Lime(bench_lime()),
+            ExplainerKind::Lime(bench_lime()),
             w.ctx,
             w.clf,
             warm,
@@ -445,7 +445,7 @@ fn main() {
         let reg = MetricsRegistry::new();
         let engine = Arc::new(WarmEngine::prime(
             BatchConfig::default(),
-            WarmExplainer::Lime(bench_lime()),
+            ExplainerKind::Lime(bench_lime()),
             w.ctx,
             w.clf,
             warm,
@@ -596,7 +596,7 @@ fn main() {
         let reg = MetricsRegistry::new();
         let engine = Arc::new(WarmEngine::prime(
             BatchConfig::default(),
-            WarmExplainer::Lime(bench_lime()),
+            ExplainerKind::Lime(bench_lime()),
             w.ctx,
             w.clf,
             warm,
@@ -762,7 +762,7 @@ fn main() {
         let reg = MetricsRegistry::new();
         let engine = WarmEngine::prime(
             BatchConfig::default(),
-            WarmExplainer::Lime(bench_lime()),
+            ExplainerKind::Lime(bench_lime()),
             w.ctx,
             w.clf,
             warm,
@@ -786,7 +786,7 @@ fn main() {
         let t0 = Instant::now();
         let engine = WarmEngine::prime(
             BatchConfig::default(),
-            WarmExplainer::Lime(bench_lime()),
+            ExplainerKind::Lime(bench_lime()),
             w.ctx,
             w.clf,
             warm,
@@ -810,7 +810,7 @@ fn main() {
         let t0 = Instant::now();
         let engine = WarmEngine::prime_from_snapshot(
             BatchConfig::default(),
-            WarmExplainer::Lime(bench_lime()),
+            ExplainerKind::Lime(bench_lime()),
             w.ctx,
             w.clf,
             warm,
@@ -922,7 +922,7 @@ fn main() {
             factory: Box::new(move |bytes| {
                 WarmEngine::prime_warm_or_cold(
                     BatchConfig::default(),
-                    WarmExplainer::Lime(bench_lime()),
+                    ExplainerKind::Lime(bench_lime()),
                     ctx.clone(),
                     // A fresh counting wrapper per materialization, so
                     // each engine's invocation count is its own.

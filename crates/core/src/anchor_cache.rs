@@ -16,7 +16,7 @@
 //!
 //! The caches are **lock-striped**: rules hash to one of [`N_SHARDS`]
 //! independent [`parking_lot::Mutex`]-protected shards, so
-//! [`crate::ShahinBatch::explain_anchor_parallel`]'s worker threads share
+//! `Method::BatchParallel`'s worker threads share
 //! precision evidence and memoized coverage without serializing on a
 //! single lock. The sequential drivers use the same type through `&self` —
 //! an uncontended shard lock is a few nanoseconds, noise next to a

@@ -8,8 +8,8 @@ use rand::SeedableRng;
 
 use shahin_explain::anchor::RuleSampler;
 use shahin_explain::{
-    estimate_base_value, labeled_perturbation, AnchorExplainer, AnchorExplanation, CoalitionSample,
-    ExplainContext, FeatureWeights, KernelShapExplainer, LabeledSample, LimeExplainer, NoSource,
+    estimate_base_value, labeled_perturbation, AnchorExplainer, AnchorExplanation, ExplainContext,
+    FeatureWeights, KernelShapExplainer, LabeledSample, LimeExplainer, NoSource,
 };
 use shahin_fim::Itemset;
 use shahin_model::{Classifier, CountingClassifier};
@@ -18,6 +18,7 @@ use shahin_tabular::{Dataset, Feature};
 use crate::greedy_cache::TaggedLruCache;
 use crate::metrics::{BatchReport, BatchResult, RunMetrics};
 use crate::runner::per_tuple_seed;
+use crate::shap_source::agreement_coalitions;
 
 // ---------------------------------------------------------------------------
 // Sequential
@@ -240,36 +241,43 @@ pub fn dist_k_shap<C: Classifier>(
 // ---------------------------------------------------------------------------
 
 /// Wraps a classifier and records every invocation as a discretized
-/// [`LabeledSample`], so GREEDY can persist whatever perturbations the
-/// (unmodified) explainer happened to generate.
-struct RecordingClassifier<'a, C> {
+/// [`LabeledSample`], so GREEDY and the streaming driver can persist
+/// whatever perturbations the (unmodified) explainer happened to generate.
+pub(crate) struct RecordingClassifier<'a, C> {
     inner: &'a C,
     ctx: &'a ExplainContext,
-    log: Mutex<Vec<LabeledSample>>,
+    /// `None` when recording is off: calls pass straight through.
+    log: Option<Mutex<Vec<LabeledSample>>>,
 }
 
 impl<'a, C: Classifier> RecordingClassifier<'a, C> {
-    fn new(inner: &'a C, ctx: &'a ExplainContext) -> Self {
+    pub(crate) fn new(inner: &'a C, ctx: &'a ExplainContext, record: bool) -> Self {
         RecordingClassifier {
             inner,
             ctx,
-            log: Mutex::new(Vec::new()),
+            log: record.then(|| Mutex::new(Vec::new())),
         }
     }
 
-    fn take_log(&self) -> Vec<LabeledSample> {
-        std::mem::take(&mut self.log.lock())
+    /// The samples recorded since the last call, in call order.
+    pub(crate) fn take_log(&self) -> Vec<LabeledSample> {
+        self.log
+            .as_ref()
+            .map(|log| std::mem::take(&mut *log.lock()))
+            .unwrap_or_default()
     }
 }
 
 impl<C: Classifier> Classifier for RecordingClassifier<'_, C> {
     fn predict_proba(&self, instance: &[Feature]) -> f64 {
         let proba = self.inner.predict_proba(instance);
-        let codes = self.ctx.discretizer().encode_instance(instance);
-        self.log.lock().push(LabeledSample {
-            codes: codes.into_boxed_slice(),
-            proba,
-        });
+        if let Some(log) = &self.log {
+            let codes = self.ctx.discretizer().encode_instance(instance);
+            log.lock().push(LabeledSample {
+                codes: codes.into_boxed_slice(),
+                proba,
+            });
+        }
         proba
     }
 }
@@ -315,7 +323,7 @@ impl Greedy {
                 .into_iter()
                 .cloned()
                 .collect();
-            let recorder = RecordingClassifier::new(clf, ctx);
+            let recorder = RecordingClassifier::new(clf, ctx, true);
             let e = lime.explain_with_reused(
                 ctx,
                 &recorder,
@@ -365,21 +373,9 @@ impl Greedy {
         for row in 0..batch.n_rows() {
             let mut rng = StdRng::seed_from_u64(per_tuple_seed(seed, row));
             let codes = table.row(row);
-            let pooled: Vec<CoalitionSample> = cache
-                .lookup(&codes, shap.params.n_samples / 2)
-                .into_iter()
-                .map(|s| CoalitionSample {
-                    coalition: s
-                        .codes
-                        .iter()
-                        .enumerate()
-                        .filter(|&(a, &c)| codes[a] == c)
-                        .map(|(a, _)| a as u16)
-                        .collect(),
-                    proba: s.proba,
-                })
-                .collect();
-            let recorder = RecordingClassifier::new(clf, ctx);
+            let pooled =
+                agreement_coalitions(&cache.lookup(&codes, shap.params.n_samples / 2), &codes);
+            let recorder = RecordingClassifier::new(clf, ctx, true);
             let e = shap.explain_with(
                 ctx,
                 &recorder,

@@ -1,12 +1,16 @@
 //! Shahin-Batch: the paper's Algorithms 1 (LIME), 2 (Anchor), 3 (SHAP).
 //!
-//! All three drivers share the same preparation phase: discretize the
-//! batch, mine frequent itemsets over a `max(1000, 1%)` sample, and
-//! materialize `τ` labeled perturbations per itemset in the
-//! [`PerturbationStore`]. Per tuple, they retrieve the matching
-//! materialized samples and hand them to the (unmodified) explainer's
-//! reuse-aware entry point.
+//! All three share the same preparation phase: discretize the batch, mine
+//! frequent itemsets over a `max(1000, 1%)` sample, and materialize `τ`
+//! labeled perturbations per itemset in the [`PerturbationStore`]. Then
+//! every row goes through the per-tuple [`crate::kernel`], which retrieves
+//! the tuple's materialized samples and hands them to the (unmodified)
+//! explainer's reuse-aware entry point. [`crate::Method::Batch`] explains
+//! the rows one after another on the calling thread;
+//! [`crate::Method::BatchParallel`] splits them into [`chunks`] over
+//! [`BatchConfig::n_threads`] workers (see [`crate::parallel`]).
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -20,13 +24,14 @@ use shahin_fim::{apriori, fpgrowth, sample_rows, AprioriParams, Itemset, MatchSc
 use shahin_model::{Classifier, CountingClassifier};
 use shahin_tabular::{Dataset, DiscreteTable};
 
-use crate::anchor_cache::{CachingRuleSampler, SharedAnchorCaches};
+use crate::anchor_cache::SharedAnchorCaches;
 use crate::config::{BatchConfig, Miner};
-use crate::metrics::{BatchReport, BatchResult, OverheadBreakdown, RunMetrics};
+use crate::kernel::{Kernel, Pool, Tuple, TupleWorker};
+use crate::metrics::{BatchResult, OverheadBreakdown, RunMetrics};
 use crate::obs::{names, ProvenanceCtx};
-use crate::quarantine::{guard_tuple, QuarantineObs, TupleOutcome};
-use crate::runner::per_tuple_seed;
-use crate::shap_source::StoreCoalitionSource;
+use crate::parallel::chunks;
+use crate::quarantine::{collect_outcomes, QuarantineObs};
+use crate::runner::{ExplainerKind, RunReport, SHAP_BASE_SAMPLES};
 use crate::store::PerturbationStore;
 use shahin_obs::MetricsRegistry;
 
@@ -133,156 +138,67 @@ impl ShahinBatch {
         }
     }
 
-    /// Algorithm 1: LIME for the EMP problem.
-    pub fn explain_lime<C: Classifier>(
+    /// Runs `explainer` over `batch`: [`ShahinBatch::prepare`], the SHAP
+    /// base value, then the per-tuple kernel over every row — on the
+    /// calling thread (`Shahin-Batch`), or, when `parallel`, in
+    /// [`chunks`] over [`BatchConfig::n_threads`] workers
+    /// (`Shahin-Batch-Par{n}`). Both produce the same LIME and SHAP
+    /// explanations and invocation counts at any thread count.
+    pub(crate) fn explain<C: Classifier>(
         &self,
         ctx: &ExplainContext,
         clf: &CountingClassifier<C>,
         batch: &Dataset,
-        lime: &LimeExplainer,
+        explainer: &ExplainerKind,
         seed: u64,
-    ) -> BatchResult<FeatureWeights> {
+        parallel: bool,
+    ) -> RunReport {
         let start_inv = clf.invocations();
         let wall0 = Instant::now();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut prep = self.prepare(ctx, clf, batch, lime.params.n_samples, seed, &mut rng);
-        let retrieve_hist = self.obs.span_histogram(names::SPAN_RETRIEVE_MATCH);
-        let surrogate_hist = self.obs.span_histogram(names::SPAN_SURROGATE_FIT);
-        let prov = ProvenanceCtx::new(&self.obs, "Shahin-Batch", "LIME");
-
-        let quarantine = QuarantineObs::new(&self.obs);
-        let mut retrieval = Duration::ZERO;
-        let mut scratch = MatchScratch::new();
-        let mut explanations = Vec::with_capacity(batch.n_rows());
-        let mut report = BatchReport::default();
-        for row in 0..batch.n_rows() {
-            let outcome = guard_tuple(row as u32, &quarantine, |incidents0| {
-                let t0 = prov.start();
-                let mut tuple_rng = StdRng::seed_from_u64(per_tuple_seed(seed, row));
-                let codes = prep.table.row(row);
-                let retrieve = retrieve_hist.start();
-                let (matched, lookup) = prep.store.matching_stats(&codes, &mut scratch);
-                retrieval += retrieve.stop();
-                let store = &prep.store;
-                let pooled = matched.iter().flat_map(|&id| store.samples(id).iter());
-                let instance = batch.instance(row);
-                let _fit = surrogate_hist.start();
-                let (weights, reuse) =
-                    lime.explain_with_reused_counted(ctx, clf, &instance, pooled, &mut tuple_rng);
-                let degraded = reuse.clamped > 0 || shahin_model::degraded_incidents() > incidents0;
-                prov.record(
-                    row as u32,
-                    0,
-                    &matched,
-                    lookup,
-                    reuse.reused,
-                    reuse.fresh,
-                    reuse.invocations,
-                    (0, 0),
-                    degraded,
-                    t0,
-                );
-                (weights, degraded)
-            });
-            match outcome {
-                TupleOutcome::Ok(weights) => explanations.push(weights),
-                TupleOutcome::Degraded(weights) => {
-                    explanations.push(weights);
-                    report.degraded.push(row as u32);
-                }
-                TupleOutcome::Failed(failure) => report.failures.push(failure),
-            }
-        }
-
-        BatchResult {
-            explanations,
-            metrics: RunMetrics {
-                invocations: clf.invocations() - start_inv,
-                wall: wall0.elapsed(),
-                overhead: OverheadBreakdown {
-                    fim: prep.fim_time,
-                    materialization: prep.materialization_time,
-                    retrieval,
-                },
-                store_bytes: prep.store.peak_bytes(),
-                n_frequent: prep.store.len(),
-                n_tuples: batch.n_rows(),
-            },
-            report,
-        }
-    }
-
-    /// Algorithm 2: Anchor for the EMP problem.
-    pub fn explain_anchor<C: Classifier>(
-        &self,
-        ctx: &ExplainContext,
-        clf: &CountingClassifier<C>,
-        batch: &Dataset,
-        anchor: &AnchorExplainer,
-        seed: u64,
-    ) -> BatchResult<AnchorExplanation> {
-        let start_inv = clf.invocations();
-        let wall0 = Instant::now();
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Anchor has no fixed per-tuple sample count; 400 approximates the
-        // bandit's typical rule-conditioned draw budget per tuple.
-        let mut prep = self.prepare(ctx, clf, batch, 400, seed, &mut rng);
+        let prep = self.prepare(ctx, clf, batch, explainer.n_target(), seed, &mut rng);
+        let base = estimate_base_value_guarded(explainer, ctx, clf, &mut rng, &self.obs);
         let caches = SharedAnchorCaches::with_obs(&self.obs);
-        let anchor = anchor.clone().with_obs(&self.obs);
-        let retrieve_hist = self.obs.span_histogram(names::SPAN_RETRIEVE_MATCH);
-        let prov = ProvenanceCtx::new(&self.obs, "Shahin-Batch", "Anchor");
-
-        let quarantine = QuarantineObs::new(&self.obs);
-        let mut retrieval = Duration::ZERO;
-        let mut scratch = MatchScratch::new();
-        let mut explanations = Vec::with_capacity(batch.n_rows());
-        let mut report = BatchReport::default();
-        for row in 0..batch.n_rows() {
-            let outcome = guard_tuple(row as u32, &quarantine, |incidents0| {
-                let t0 = prov.start();
-                let codes = prep.table.row(row);
-                let retrieve = retrieve_hist.start();
-                let (matched, lookup) = prep.store.matching_stats(&codes, &mut scratch);
-                retrieval += retrieve.stop();
-                let instance = batch.instance(row);
-                let inv0 = clf.invocations();
-                let target = clf.predict(&instance);
-                let mut sampler = CachingRuleSampler::new(
-                    ctx,
-                    clf,
-                    &prep.store,
-                    &matched,
-                    &caches,
-                    per_tuple_seed(seed, row),
-                );
-                let explanation = anchor.explain_with_sampler(&codes, target, &mut sampler);
-                let stats = sampler.stats();
-                let degraded = shahin_model::degraded_incidents() > incidents0;
-                prov.record(
-                    row as u32,
-                    0,
-                    &matched,
-                    lookup,
-                    stats.reused,
-                    stats.fresh,
-                    clf.invocations() - inv0,
-                    (stats.cache_hits, stats.cache_misses),
-                    degraded,
-                    t0,
-                );
-                (explanation, degraded)
-            });
-            match outcome {
-                TupleOutcome::Ok(explanation) => explanations.push(explanation),
-                TupleOutcome::Degraded(explanation) => {
-                    explanations.push(explanation);
-                    report.degraded.push(row as u32);
-                }
-                TupleOutcome::Failed(failure) => report.failures.push(failure),
-            }
-        }
-
-        BatchResult {
+        let explainer = explainer.clone().with_obs(&self.obs);
+        let kernel = Kernel {
+            explainer: &explainer,
+            ctx,
+            clf,
+            caches: &caches,
+            base,
+            seed,
+        };
+        let (n_threads, method) = if parallel {
+            let n = self.config.resolved_n_threads();
+            (n, format!("Shahin-Batch-Par{n}"))
+        } else {
+            (1, "Shahin-Batch".to_owned())
+        };
+        let prov = ProvenanceCtx::new(&self.obs, &method, explainer.name());
+        let store = &prep.store;
+        let parts = in_chunks(batch.n_rows(), n_threads, |rows| {
+            let mut worker = TupleWorker::new(&self.obs, prov.clone());
+            let outcomes: Vec<_> = rows
+                .map(|row| {
+                    let codes = prep.table.row(row);
+                    let instance = batch.instance(row);
+                    let tuple = Tuple {
+                        row,
+                        codes: &codes,
+                        instance: &instance,
+                        epoch: 0,
+                    };
+                    let fetch = |scratch: &mut MatchScratch| {
+                        Pool::store(store, store.matching_read_stats(&codes, scratch))
+                    };
+                    kernel.explain(tuple, fetch, &mut worker)
+                })
+                .collect();
+            (outcomes, worker.retrieval)
+        });
+        let retrieval = parts.iter().map(|(_, spent)| *spent).sum();
+        let (explanations, report) = collect_outcomes(parts.into_iter().flat_map(|(o, _)| o));
+        RunReport {
             explanations,
             metrics: RunMetrics {
                 invocations: clf.invocations() - start_inv,
@@ -300,126 +216,113 @@ impl ShahinBatch {
         }
     }
 
-    /// Algorithm 3: KernelSHAP for the EMP problem. `base_samples`
-    /// classifier invocations estimate the null prediction once for the
-    /// whole batch (as the reference implementation's background set does).
+    /// Algorithm 1: LIME for the EMP problem ([`crate::Method::Batch`]).
+    pub fn explain_lime<C: Classifier>(
+        &self,
+        ctx: &ExplainContext,
+        clf: &CountingClassifier<C>,
+        batch: &Dataset,
+        lime: &LimeExplainer,
+        seed: u64,
+    ) -> BatchResult<FeatureWeights> {
+        let kind = ExplainerKind::Lime(lime.clone());
+        self.explain(ctx, clf, batch, &kind, seed, false)
+            .into_weights()
+    }
+
+    /// Algorithm 2: Anchor for the EMP problem ([`crate::Method::Batch`]).
+    pub fn explain_anchor<C: Classifier>(
+        &self,
+        ctx: &ExplainContext,
+        clf: &CountingClassifier<C>,
+        batch: &Dataset,
+        anchor: &AnchorExplainer,
+        seed: u64,
+    ) -> BatchResult<AnchorExplanation> {
+        let kind = ExplainerKind::Anchor(anchor.clone());
+        self.explain(ctx, clf, batch, &kind, seed, false)
+            .into_rules()
+    }
+
+    /// Algorithm 3: KernelSHAP for the EMP problem ([`crate::Method::Batch`]).
+    /// [`SHAP_BASE_SAMPLES`] classifier invocations estimate the null
+    /// prediction once for the whole batch (as the reference
+    /// implementation's background set does).
     pub fn explain_shap<C: Classifier>(
         &self,
         ctx: &ExplainContext,
         clf: &CountingClassifier<C>,
         batch: &Dataset,
         shap: &KernelShapExplainer,
-        base_samples: usize,
         seed: u64,
     ) -> BatchResult<FeatureWeights> {
-        let start_inv = clf.invocations();
-        let wall0 = Instant::now();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut prep = self.prepare(ctx, clf, batch, shap.params.n_samples, seed, &mut rng);
-        let quarantine = QuarantineObs::new(&self.obs);
-        let base = estimate_base_value_guarded(ctx, clf, base_samples, &mut rng, &quarantine);
-        let retrieve_hist = self.obs.span_histogram(names::SPAN_RETRIEVE_MATCH);
-        let surrogate_hist = self.obs.span_histogram(names::SPAN_SURROGATE_FIT);
-        let prov = ProvenanceCtx::new(&self.obs, "Shahin-Batch", "SHAP");
-
-        let mut retrieval = Duration::ZERO;
-        let mut scratch = MatchScratch::new();
-        let mut explanations = Vec::with_capacity(batch.n_rows());
-        let mut report = BatchReport::default();
-        for row in 0..batch.n_rows() {
-            let outcome = guard_tuple(row as u32, &quarantine, |incidents0| {
-                let t0 = prov.start();
-                let mut tuple_rng = StdRng::seed_from_u64(per_tuple_seed(seed, row));
-                let codes = prep.table.row(row);
-                let retrieve = retrieve_hist.start();
-                let (matched, lookup) = prep.store.matching_stats(&codes, &mut scratch);
-                // Line 7–8: pool the perturbations of contained frequent
-                // itemsets as coalitions over their attributes (round-robin
-                // for mask diversity, half of the budget).
-                let pooled = crate::shap_source::pool_coalitions(
-                    &prep.store,
-                    &matched,
-                    shap.params.n_samples / 2,
-                );
-                let mut source = StoreCoalitionSource::new(&prep.store, matched.clone());
-                retrieval += retrieve.stop();
-                let instance = batch.instance(row);
-                let _fit = surrogate_hist.start();
-                let (weights, reuse) = shap.explain_with_counted(
-                    ctx,
-                    clf,
-                    &instance,
-                    base,
-                    pooled,
-                    &mut source,
-                    &mut tuple_rng,
-                );
-                let degraded = reuse.clamped > 0 || shahin_model::degraded_incidents() > incidents0;
-                prov.record(
-                    row as u32,
-                    0,
-                    &matched,
-                    lookup,
-                    reuse.reused,
-                    reuse.fresh,
-                    reuse.invocations,
-                    (0, 0),
-                    degraded,
-                    t0,
-                );
-                (weights, degraded)
-            });
-            match outcome {
-                TupleOutcome::Ok(weights) => explanations.push(weights),
-                TupleOutcome::Degraded(weights) => {
-                    explanations.push(weights);
-                    report.degraded.push(row as u32);
-                }
-                TupleOutcome::Failed(failure) => report.failures.push(failure),
-            }
-        }
-
-        BatchResult {
-            explanations,
-            metrics: RunMetrics {
-                invocations: clf.invocations() - start_inv,
-                wall: wall0.elapsed(),
-                overhead: OverheadBreakdown {
-                    fim: prep.fim_time,
-                    materialization: prep.materialization_time,
-                    retrieval,
-                },
-                store_bytes: prep.store.peak_bytes(),
-                n_frequent: prep.store.len(),
-                n_tuples: batch.n_rows(),
-            },
-            report,
-        }
+        let kind = ExplainerKind::Shap(shap.clone());
+        self.explain(ctx, clf, batch, &kind, seed, false)
+            .into_weights()
     }
 }
 
-/// Estimates the SHAP base value, falling back to `0.5` when a classifier
-/// panic unwinds out of the estimation loop. The base value is shared by
-/// the whole batch, so losing it must not kill every tuple — the fallback
-/// keeps the efficiency constraint intact (the surrogate re-anchors on
-/// it) and the contained panic is counted in
+/// Runs `work` over `0..n` split into [`chunks`] for `n_threads` workers
+/// and returns each chunk's result, in row order: on the calling thread
+/// when that is one chunk (one row, or one thread), otherwise on one
+/// scoped `worker-{i}` thread per chunk.
+pub(crate) fn in_chunks<R: Send>(
+    n: usize,
+    n_threads: usize,
+    work: impl Fn(Range<usize>) -> R + Sync,
+) -> Vec<R> {
+    let chunks = chunks(n, n_threads);
+    if chunks.len() <= 1 {
+        return chunks
+            .into_iter()
+            .map(|(start, end)| work(start..end))
+            .collect();
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = chunks
+            .into_iter()
+            .enumerate()
+            .map(|(i, (start, end))| {
+                std::thread::Builder::new()
+                    .name(format!("worker-{i}"))
+                    .spawn_scoped(scope, move || work(start..end))
+                    .expect("spawn worker")
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
+}
+
+/// Estimates KernelSHAP's base value for a SHAP run (0.5, and no
+/// classifier call, for the other explainers), falling back to `0.5`
+/// when a classifier panic unwinds out of the estimation loop. The base
+/// value is shared by the whole batch, so losing it must not kill every
+/// tuple — the fallback keeps the efficiency constraint intact (the
+/// surrogate re-anchors on it) and the contained panic is counted in
 /// `resilience.panics_isolated`.
 pub(crate) fn estimate_base_value_guarded<C: Classifier>(
+    explainer: &ExplainerKind,
     ctx: &ExplainContext,
     clf: &C,
-    n_samples: usize,
     rng: &mut StdRng,
-    quarantine: &QuarantineObs,
+    reg: &MetricsRegistry,
 ) -> f64 {
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    if !matches!(explainer, ExplainerKind::Shap(_)) {
+        return 0.5;
+    }
     match catch_unwind(AssertUnwindSafe(|| {
-        shahin_explain::estimate_base_value(ctx, clf, n_samples, rng)
+        shahin_explain::estimate_base_value(ctx, clf, SHAP_BASE_SAMPLES, rng)
     })) {
         // `estimate_base_value` clamps non-finite model outputs itself, so
         // an Ok value is always usable.
         Ok(base) => base,
         Err(_) => {
-            quarantine.note_contained_panic();
+            QuarantineObs::new(reg).note_contained_panic();
             0.5
         }
     }
@@ -495,9 +398,9 @@ mod tests {
             tau: 50,
             ..Default::default()
         });
-        let res = shahin.explain_shap(&ctx, &clf, &batch, &shap, 50, 11);
+        let res = shahin.explain_shap(&ctx, &clf, &batch, &shap, 11);
         assert_eq!(res.explanations.len(), batch.n_rows());
-        let seq_cost = (128 + 1) * batch.n_rows() as u64 + 50;
+        let seq_cost = (128 + 1) * batch.n_rows() as u64 + SHAP_BASE_SAMPLES as u64;
         assert!(
             res.metrics.invocations < seq_cost,
             "no savings: {} vs {}",

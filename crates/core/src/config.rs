@@ -40,8 +40,8 @@ pub struct BatchConfig {
     /// Mining algorithm.
     pub miner: Miner,
     /// Worker threads for the parallel phases (materialization in
-    /// `prepare`, and the per-tuple fan-out of the `explain_*_parallel`
-    /// drivers). `None` (the default) uses
+    /// `prepare`, and the per-tuple fan-out of `Method::BatchParallel`).
+    /// `None` (the default) uses
     /// [`std::thread::available_parallelism`]. All results are
     /// thread-count invariant for LIME/SHAP (see DESIGN.md, "Threading
     /// model & determinism").

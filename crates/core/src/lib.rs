@@ -15,7 +15,9 @@
 //!    itemset in a byte-budgeted [`PerturbationStore`],
 //! 3. explains each tuple by **reusing** the materialized perturbations
 //!    whose frozen itemset the tuple contains, generating (and paying
-//!    classifier invocations for) only the remainder,
+//!    classifier invocations for) only the remainder — one per-tuple
+//!    [`kernel`] that every driver (batch, parallel, streaming and the
+//!    serving [`WarmEngine`]) explains a tuple through,
 //! 4. for Anchor, additionally caches the **invariant** per-rule precision
 //!    counts and coverage ([`anchor_cache`]),
 //! 5. a **streaming** variant ([`ShahinStreaming`]) maintains the store
@@ -56,6 +58,7 @@ pub mod baseline;
 pub mod batch;
 pub mod config;
 pub mod greedy_cache;
+pub mod kernel;
 pub mod metrics;
 pub mod obs;
 pub mod parallel;
@@ -73,6 +76,7 @@ pub use baseline::{dist_k, Greedy};
 pub use batch::ShahinBatch;
 pub use config::{BatchConfig, Miner, StreamingConfig};
 pub use greedy_cache::TaggedLruCache;
+pub use kernel::TupleWorker;
 pub use metrics::{
     BatchReport, BatchResult, FailureKind, OverheadBreakdown, RunMetrics, TupleFailure,
 };
@@ -92,4 +96,4 @@ pub use streaming::ShahinStreaming;
 pub use summarize::{
     summarize_attributions, summarize_rules, top_k_overlap, AttributionSummary, RuleSummary,
 };
-pub use warm::{WarmEngine, WarmExplainer, WarmOutcome, WarmRequest, WarmWorker};
+pub use warm::{WarmEngine, WarmExplainer, WarmOutcome, WarmRequest};

@@ -16,6 +16,8 @@ pub use shahin_obs::{
 use std::sync::Arc;
 use std::time::Instant;
 
+use shahin_explain::ReuseStats;
+
 use crate::anchor_cache::N_SHARDS;
 use crate::store::LookupStats;
 
@@ -463,15 +465,18 @@ impl ProvenanceCtx {
         }
     }
 
-    /// A copy of this context that stamps `request` (and, when present,
-    /// `trace`) on its records — the serve engine tags each tuple with
+    /// Stamps `request` (and, when present, `trace`) on every record this
+    /// context emits from now on — the serve engine tags each tuple with
     /// the request that asked for it.
-    pub(crate) fn tagged(&self, request: u64, trace: Option<u64>) -> ProvenanceCtx {
-        ProvenanceCtx {
-            request: Some(request),
-            trace,
-            ..self.clone()
-        }
+    pub(crate) fn tag(&mut self, request: u64, trace: Option<u64>) {
+        self.request = Some(request);
+        self.trace = trace;
+    }
+
+    /// Whether records carry a trace id, i.e. the tuple's stage spans are
+    /// wanted.
+    pub(crate) fn traced(&self) -> bool {
+        self.trace.is_some()
     }
 
     /// Starts the per-tuple wall clock — `None` (free) when disabled.
@@ -480,52 +485,55 @@ impl ProvenanceCtx {
         self.sink.is_some().then(Instant::now)
     }
 
-    /// Emits one tuple's record. `reused`/`fresh`/`invocations` come from
-    /// the explainer's counted variant, `lookup` from the store's stats
-    /// lookup, `cache` is the Anchor sampler's per-tuple (hits, misses),
-    /// `degraded` whether the resilient boundary absorbed incidents while
-    /// explaining this tuple.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record(
-        &self,
-        tuple: u32,
-        epoch: u64,
-        matched: &[u32],
-        lookup: LookupStats,
-        reused: u64,
-        fresh: u64,
-        invocations: u64,
-        cache: (u64, u64),
-        degraded: bool,
-        t0: Option<Instant>,
-    ) {
+    /// Emits one tuple's record (no-op without a sink).
+    pub(crate) fn record(&self, l: Lineage<'_>) {
         let Some(sink) = &self.sink else {
             return;
         };
         sink.push(ProvenanceRecord {
-            tuple,
+            tuple: l.tuple,
             method: Arc::clone(&self.method),
             explainer: Arc::clone(&self.explainer),
-            epoch,
+            epoch: l.epoch,
             thread: current_thread_id(),
-            matched_itemsets: matched.to_vec(),
-            store_misses: lookup.misses,
-            samples_available: lookup.samples_available,
-            samples_reused: reused,
-            samples_fresh: fresh,
-            tau: reused + fresh,
-            invocations,
-            cache_hits: cache.0,
-            cache_misses: cache.1,
-            wall_ns: t0.map_or(0, |t| {
+            matched_itemsets: l.matched.to_vec(),
+            store_misses: l.lookup.misses,
+            samples_available: l.lookup.samples_available,
+            samples_reused: l.reuse.reused,
+            samples_fresh: l.reuse.fresh,
+            tau: l.reuse.reused + l.reuse.fresh,
+            invocations: l.reuse.invocations,
+            cache_hits: l.cache.0,
+            cache_misses: l.cache.1,
+            wall_ns: l.t0.map_or(0, |t| {
                 u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
             }),
-            degraded,
+            degraded: l.degraded,
             request: self.request,
             trace_id: self.trace,
             tenant: self.tenant.clone(),
         });
     }
+}
+
+/// One explained tuple's lineage, as the per-tuple kernel hands it to
+/// [`ProvenanceCtx::record`].
+pub(crate) struct Lineage<'a> {
+    pub(crate) tuple: u32,
+    pub(crate) epoch: u64,
+    /// Store ids of the matched itemsets that had samples.
+    pub(crate) matched: &'a [u32],
+    /// The store lookup's accounting.
+    pub(crate) lookup: LookupStats,
+    /// Samples reused and generated fresh, and the classifier invocations
+    /// spent on the tuple.
+    pub(crate) reuse: ReuseStats,
+    /// The Anchor sampler's shard-cache (hits, misses) for this tuple.
+    pub(crate) cache: (u64, u64),
+    /// Whether the resilient boundary absorbed incidents on this tuple.
+    pub(crate) degraded: bool,
+    /// The tuple's [`ProvenanceCtx::start`].
+    pub(crate) t0: Option<Instant>,
 }
 
 #[cfg(test)]
@@ -537,18 +545,22 @@ mod tests {
         let reg = MetricsRegistry::new();
         let ctx = ProvenanceCtx::new(&reg, "Shahin-Batch", "LIME");
         assert!(ctx.start().is_none());
-        ctx.record(
-            0,
-            0,
-            &[],
-            LookupStats::default(),
-            1,
-            2,
-            3,
-            (0, 0),
-            false,
-            None,
-        );
+        let lineage = |matched: &'static [u32], lookup, degraded, t0| Lineage {
+            tuple: 7,
+            epoch: 0,
+            matched,
+            lookup,
+            reuse: ReuseStats {
+                reused: 40,
+                fresh: 59,
+                invocations: 60,
+                clamped: 0,
+            },
+            cache: (0, 0),
+            degraded,
+            t0,
+        };
+        ctx.record(lineage(&[], LookupStats::default(), false, None));
 
         let sink = Arc::new(ProvenanceSink::new());
         reg.attach_provenance_sink(Arc::clone(&sink));
@@ -560,7 +572,7 @@ mod tests {
             misses: 1,
             samples_available: 40,
         };
-        ctx.record(7, 0, &[3, 9], lookup, 40, 59, 60, (0, 0), true, t0);
+        ctx.record(lineage(&[3, 9], lookup, true, t0));
         let recs = sink.records();
         assert_eq!(recs.len(), 1);
         let r = &recs[0];

@@ -11,41 +11,23 @@
 //!   `(run_seed, itemset_id)` and the per-itemset sample counts planned up
 //!   front, so the materialized store is bit-identical at every thread
 //!   count.
-//! * **Per-tuple** — the materialized store is only *read*, per-tuple RNG
-//!   streams are derived from the run seed, and the explainers are pure
-//!   functions of their inputs, so tuples are embarrassingly parallel.
+//! * **Per-tuple** — the rows are split into contiguous [`chunks`], one
+//!   per worker, and every row goes through the same per-tuple kernel
+//!   ([`crate::kernel`]) the single-threaded driver uses. The store is
+//!   only *read* and each tuple's RNG stream is derived from the run seed
+//!   and its row, so tuples are embarrassingly parallel.
 //!
-//! The LIME and SHAP drivers here produce exactly the explanations (and
-//! classifier invocation counts) of the single-threaded driver. Anchor
-//! shares its lock-striped invariant caches ([`SharedAnchorCaches`])
-//! across threads: reuse is kept and the found rules are stable for
-//! classifiers with crisp precision, but because threads race to publish
-//! precision evidence, *invocation counts* may vary slightly with the
-//! schedule (see DESIGN.md, "Threading model & determinism").
+//! `Method::BatchParallel` therefore produces exactly the LIME and SHAP
+//! explanations (and classifier invocation counts) of `Method::Batch`, at
+//! any thread count. Anchor shares its lock-striped invariant caches
+//! ([`crate::SharedAnchorCaches`]) across threads: reuse is kept and the
+//! found rules are stable for classifiers with crisp precision, but
+//! because threads race to publish precision evidence, *invocation counts*
+//! may vary slightly with the schedule beyond one thread (see DESIGN.md,
+//! "Threading model & determinism").
 //!
 //! The thread count comes from [`crate::BatchConfig::n_threads`]
 //! (machine parallelism by default) — one knob, not per-call arguments.
-
-use std::time::Instant;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use shahin_explain::{
-    AnchorExplainer, AnchorExplanation, ExplainContext, FeatureWeights, KernelShapExplainer,
-    LimeExplainer,
-};
-use shahin_fim::MatchScratch;
-use shahin_model::{Classifier, CountingClassifier};
-use shahin_tabular::Dataset;
-
-use crate::anchor_cache::{CachingRuleSampler, SharedAnchorCaches};
-use crate::batch::{estimate_base_value_guarded, ShahinBatch};
-use crate::metrics::{BatchResult, OverheadBreakdown, RunMetrics};
-use crate::obs::{names, ProvenanceCtx};
-use crate::quarantine::{collect_outcomes, guard_tuple, QuarantineObs, TupleOutcome};
-use crate::runner::per_tuple_seed;
-use crate::shap_source::StoreCoalitionSource;
 
 /// Splits `0..n` into at most `n_threads` contiguous, balanced chunks
 /// (sizes differ by at most one). Returns no chunks for `n = 0`, never
@@ -67,331 +49,20 @@ pub fn chunks(n: usize, n_threads: usize) -> Vec<(usize, usize)> {
     out
 }
 
-impl ShahinBatch {
-    /// Algorithm 1 with the per-tuple phase spread over
-    /// [`crate::BatchConfig::n_threads`] threads. Produces exactly the same
-    /// explanations and invocation counts as [`ShahinBatch::explain_lime`]
-    /// for the same seed, at any thread count.
-    pub fn explain_lime_parallel<C: Classifier>(
-        &self,
-        ctx: &ExplainContext,
-        clf: &CountingClassifier<C>,
-        batch: &Dataset,
-        lime: &LimeExplainer,
-        seed: u64,
-    ) -> BatchResult<FeatureWeights> {
-        let n_threads = self.config.resolved_n_threads();
-        let start_inv = clf.invocations();
-        let wall0 = Instant::now();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let prep = self.prepare(ctx, clf, batch, lime.params.n_samples, seed, &mut rng);
-        let store = &prep.store;
-        // Handles created once, before the scope: workers record through
-        // shared atomics without touching the registry's stripe locks.
-        let retrieve_hist = self.obs.span_histogram(names::SPAN_RETRIEVE_MATCH);
-        let surrogate_hist = self.obs.span_histogram(names::SPAN_SURROGATE_FIT);
-        let prov = ProvenanceCtx::new(&self.obs, &format!("Shahin-Batch-Par{n_threads}"), "LIME");
-        let quarantine = QuarantineObs::new(&self.obs);
-
-        let mut slots: Vec<Option<TupleOutcome<FeatureWeights>>> =
-            (0..batch.n_rows()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut rest = slots.as_mut_slice();
-            for (start, end) in chunks(batch.n_rows(), n_threads) {
-                let (head, tail) = rest.split_at_mut(end - start);
-                rest = tail;
-                let table = &prep.table;
-                let retrieve_hist = retrieve_hist.clone();
-                let surrogate_hist = surrogate_hist.clone();
-                let prov = prov.clone();
-                let quarantine = quarantine.clone();
-                scope.spawn(move || {
-                    let mut scratch = MatchScratch::new();
-                    for (offset, slot) in head.iter_mut().enumerate() {
-                        let row = start + offset;
-                        // Panic isolation per tuple: a classifier panic
-                        // quarantines this row only; the store is read-only
-                        // here so shared state cannot be left inconsistent.
-                        *slot = Some(guard_tuple(row as u32, &quarantine, |incidents0| {
-                            let t0 = prov.start();
-                            let mut tuple_rng = StdRng::seed_from_u64(per_tuple_seed(seed, row));
-                            let codes = table.row(row);
-                            // Read-only matching: no LRU bookkeeping races.
-                            let retrieve = retrieve_hist.start();
-                            let (matched, lookup) = store.matching_read_stats(&codes, &mut scratch);
-                            drop(retrieve);
-                            let pooled = matched.iter().flat_map(|&id| store.samples(id).iter());
-                            let instance = batch.instance(row);
-                            let _fit = surrogate_hist.start();
-                            let (weights, reuse) = lime.explain_with_reused_counted(
-                                ctx,
-                                clf,
-                                &instance,
-                                pooled,
-                                &mut tuple_rng,
-                            );
-                            let degraded = reuse.clamped > 0
-                                || shahin_model::degraded_incidents() > incidents0;
-                            prov.record(
-                                row as u32,
-                                0,
-                                &matched,
-                                lookup,
-                                reuse.reused,
-                                reuse.fresh,
-                                reuse.invocations,
-                                (0, 0),
-                                degraded,
-                                t0,
-                            );
-                            (weights, degraded)
-                        }));
-                    }
-                });
-            }
-        });
-
-        let (explanations, report) = collect_outcomes(slots);
-        BatchResult {
-            explanations,
-            metrics: RunMetrics {
-                invocations: clf.invocations() - start_inv,
-                wall: wall0.elapsed(),
-                overhead: OverheadBreakdown {
-                    fim: prep.fim_time,
-                    materialization: prep.materialization_time,
-                    retrieval: std::time::Duration::ZERO,
-                },
-                store_bytes: prep.store.peak_bytes(),
-                n_frequent: prep.store.len(),
-                n_tuples: batch.n_rows(),
-            },
-            report,
-        }
-    }
-
-    /// Algorithm 2 with the per-tuple phase spread over
-    /// [`crate::BatchConfig::n_threads`] threads, all sharing the lock-striped
-    /// [`SharedAnchorCaches`]. Precision evidence published by one thread
-    /// is immediately visible to the others, so cache reuse matches the
-    /// sequential driver's; because threads race to publish, invocation
-    /// counts (not the found rules, for classifiers with crisp precision)
-    /// can vary with the schedule.
-    pub fn explain_anchor_parallel<C: Classifier>(
-        &self,
-        ctx: &ExplainContext,
-        clf: &CountingClassifier<C>,
-        batch: &Dataset,
-        anchor: &AnchorExplainer,
-        seed: u64,
-    ) -> BatchResult<AnchorExplanation> {
-        let n_threads = self.config.resolved_n_threads();
-        let start_inv = clf.invocations();
-        let wall0 = Instant::now();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let prep = self.prepare(ctx, clf, batch, 400, seed, &mut rng);
-        let store = &prep.store;
-        let caches = SharedAnchorCaches::with_obs(&self.obs);
-        let anchor = anchor.clone().with_obs(&self.obs);
-        let anchor = &anchor;
-        let retrieve_hist = self.obs.span_histogram(names::SPAN_RETRIEVE_MATCH);
-        let prov = ProvenanceCtx::new(&self.obs, &format!("Shahin-Batch-Par{n_threads}"), "Anchor");
-        let quarantine = QuarantineObs::new(&self.obs);
-
-        let mut slots: Vec<Option<TupleOutcome<AnchorExplanation>>> =
-            (0..batch.n_rows()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut rest = slots.as_mut_slice();
-            for (start, end) in chunks(batch.n_rows(), n_threads) {
-                let (head, tail) = rest.split_at_mut(end - start);
-                rest = tail;
-                let table = &prep.table;
-                let caches = &caches;
-                let retrieve_hist = retrieve_hist.clone();
-                let prov = prov.clone();
-                let quarantine = quarantine.clone();
-                scope.spawn(move || {
-                    let mut scratch = MatchScratch::new();
-                    for (offset, slot) in head.iter_mut().enumerate() {
-                        let row = start + offset;
-                        // The shared anchor caches are lock-striped with
-                        // non-poisoning locks and only publish completed
-                        // evidence, so quarantining this row mid-bandit
-                        // leaves them consistent for the other workers.
-                        *slot = Some(guard_tuple(row as u32, &quarantine, |incidents0| {
-                            let t0 = prov.start();
-                            let codes = table.row(row);
-                            let retrieve = retrieve_hist.start();
-                            let (matched, lookup) = store.matching_read_stats(&codes, &mut scratch);
-                            drop(retrieve);
-                            let instance = batch.instance(row);
-                            let target = clf.predict(&instance);
-                            let mut sampler = CachingRuleSampler::new(
-                                ctx,
-                                clf,
-                                store,
-                                &matched,
-                                caches,
-                                per_tuple_seed(seed, row),
-                            );
-                            let explanation =
-                                anchor.explain_with_sampler(&codes, target, &mut sampler);
-                            // The shared CountingClassifier is racy per
-                            // tuple here, so invocations are attributed
-                            // from the sampler's fresh draws plus the
-                            // target probe.
-                            let stats = sampler.stats();
-                            let degraded = shahin_model::degraded_incidents() > incidents0;
-                            prov.record(
-                                row as u32,
-                                0,
-                                &matched,
-                                lookup,
-                                stats.reused,
-                                stats.fresh,
-                                stats.fresh + 1,
-                                (stats.cache_hits, stats.cache_misses),
-                                degraded,
-                                t0,
-                            );
-                            (explanation, degraded)
-                        }));
-                    }
-                });
-            }
-        });
-
-        let (explanations, report) = collect_outcomes(slots);
-        BatchResult {
-            explanations,
-            metrics: RunMetrics {
-                invocations: clf.invocations() - start_inv,
-                wall: wall0.elapsed(),
-                overhead: OverheadBreakdown {
-                    fim: prep.fim_time,
-                    materialization: prep.materialization_time,
-                    retrieval: std::time::Duration::ZERO,
-                },
-                store_bytes: prep.store.peak_bytes() + caches.approx_bytes(),
-                n_frequent: prep.store.len(),
-                n_tuples: batch.n_rows(),
-            },
-            report,
-        }
-    }
-
-    /// Algorithm 3 with the per-tuple phase spread over
-    /// [`crate::BatchConfig::n_threads`] threads; deterministic like the LIME
-    /// variant.
-    pub fn explain_shap_parallel<C: Classifier>(
-        &self,
-        ctx: &ExplainContext,
-        clf: &CountingClassifier<C>,
-        batch: &Dataset,
-        shap: &KernelShapExplainer,
-        base_samples: usize,
-        seed: u64,
-    ) -> BatchResult<FeatureWeights> {
-        let n_threads = self.config.resolved_n_threads();
-        let start_inv = clf.invocations();
-        let wall0 = Instant::now();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let prep = self.prepare(ctx, clf, batch, shap.params.n_samples, seed, &mut rng);
-        let quarantine = QuarantineObs::new(&self.obs);
-        let base = estimate_base_value_guarded(ctx, clf, base_samples, &mut rng, &quarantine);
-        let store = &prep.store;
-        let retrieve_hist = self.obs.span_histogram(names::SPAN_RETRIEVE_MATCH);
-        let surrogate_hist = self.obs.span_histogram(names::SPAN_SURROGATE_FIT);
-        let prov = ProvenanceCtx::new(&self.obs, &format!("Shahin-Batch-Par{n_threads}"), "SHAP");
-
-        let mut slots: Vec<Option<TupleOutcome<FeatureWeights>>> =
-            (0..batch.n_rows()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut rest = slots.as_mut_slice();
-            for (start, end) in chunks(batch.n_rows(), n_threads) {
-                let (head, tail) = rest.split_at_mut(end - start);
-                rest = tail;
-                let table = &prep.table;
-                let retrieve_hist = retrieve_hist.clone();
-                let surrogate_hist = surrogate_hist.clone();
-                let prov = prov.clone();
-                let quarantine = quarantine.clone();
-                scope.spawn(move || {
-                    let mut scratch = MatchScratch::new();
-                    for (offset, slot) in head.iter_mut().enumerate() {
-                        let row = start + offset;
-                        *slot = Some(guard_tuple(row as u32, &quarantine, |incidents0| {
-                            let t0 = prov.start();
-                            let mut tuple_rng = StdRng::seed_from_u64(per_tuple_seed(seed, row));
-                            let codes = table.row(row);
-                            let retrieve = retrieve_hist.start();
-                            let (matched, lookup) = store.matching_read_stats(&codes, &mut scratch);
-                            let pooled = crate::shap_source::pool_coalitions(
-                                store,
-                                &matched,
-                                shap.params.n_samples / 2,
-                            );
-                            let mut source = StoreCoalitionSource::new(store, matched.clone());
-                            drop(retrieve);
-                            let instance = batch.instance(row);
-                            let _fit = surrogate_hist.start();
-                            let (weights, reuse) = shap.explain_with_counted(
-                                ctx,
-                                clf,
-                                &instance,
-                                base,
-                                pooled,
-                                &mut source,
-                                &mut tuple_rng,
-                            );
-                            let degraded = reuse.clamped > 0
-                                || shahin_model::degraded_incidents() > incidents0;
-                            prov.record(
-                                row as u32,
-                                0,
-                                &matched,
-                                lookup,
-                                reuse.reused,
-                                reuse.fresh,
-                                reuse.invocations,
-                                (0, 0),
-                                degraded,
-                                t0,
-                            );
-                            (weights, degraded)
-                        }));
-                    }
-                });
-            }
-        });
-
-        let (explanations, report) = collect_outcomes(slots);
-        BatchResult {
-            explanations,
-            metrics: RunMetrics {
-                invocations: clf.invocations() - start_inv,
-                wall: wall0.elapsed(),
-                overhead: OverheadBreakdown {
-                    fim: prep.fim_time,
-                    materialization: prep.materialization_time,
-                    retrieval: std::time::Duration::ZERO,
-                },
-                store_bytes: prep.store.peak_bytes(),
-                n_frequent: prep.store.len(),
-                n_tuples: batch.n_rows(),
-            },
-            report,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::BatchConfig;
-    use shahin_explain::{LimeParams, ShapParams};
-    use shahin_model::MajorityClass;
-    use shahin_tabular::{train_test_split, DatasetPreset};
+    use crate::runner::ExplainerKind;
+    use crate::ShahinBatch;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use shahin_explain::{
+        AnchorExplainer, AnchorExplanation, ExplainContext, FeatureWeights, KernelShapExplainer,
+        LimeExplainer, LimeParams, ShapParams,
+    };
+    use shahin_model::{Classifier, CountingClassifier, MajorityClass};
+    use shahin_tabular::{train_test_split, Dataset, DatasetPreset};
 
     fn setup() -> (ExplainContext, CountingClassifier<MajorityClass>, Dataset) {
         let (data, labels) = DatasetPreset::Recidivism.spec(0.05).generate(3);
@@ -410,6 +81,13 @@ mod tests {
         })
     }
 
+    fn lime(n_samples: usize) -> ExplainerKind {
+        ExplainerKind::Lime(LimeExplainer::new(LimeParams {
+            n_samples,
+            ..Default::default()
+        }))
+    }
+
     #[test]
     fn chunking_covers_all_rows() {
         assert_eq!(chunks(10, 3), vec![(0, 4), (4, 7), (7, 10)]);
@@ -422,25 +100,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_lime_runs_and_counts() {
+    fn parallel_shap_keeps_efficiency() {
         let (ctx, clf, batch) = setup();
-        let lime = LimeExplainer::new(LimeParams {
-            n_samples: 80,
-            ..Default::default()
-        });
-        let r = with_threads(4).explain_lime_parallel(&ctx, &clf, &batch, &lime, 7);
-        assert_eq!(r.explanations.len(), batch.n_rows());
-        assert!(r.metrics.invocations > 0);
-    }
-
-    #[test]
-    fn parallel_shap_matches_batch_structure() {
-        let (ctx, clf, batch) = setup();
-        let shap = KernelShapExplainer::new(ShapParams {
+        let shap = ExplainerKind::Shap(KernelShapExplainer::new(ShapParams {
             n_samples: 48,
             ..Default::default()
-        });
-        let r = with_threads(4).explain_shap_parallel(&ctx, &clf, &batch, &shap, 20, 9);
+        }));
+        let r: crate::metrics::BatchResult<FeatureWeights> = with_threads(4)
+            .explain(&ctx, &clf, &batch, &shap, 9, true)
+            .into_weights();
         assert_eq!(r.explanations.len(), batch.n_rows());
         for e in &r.explanations {
             let total: f64 = e.weights.iter().sum();
@@ -449,51 +117,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_lime_matches_sequential_driver_exactly() {
-        let (ctx, clf, batch) = setup();
-        let lime = LimeExplainer::new(LimeParams {
-            n_samples: 60,
-            ..Default::default()
-        });
-        let seq = with_threads(1).explain_lime(&ctx, &clf, &batch, &lime, 11);
-        for n in [1usize, 2, 4] {
-            let par = with_threads(n).explain_lime_parallel(&ctx, &clf, &batch, &lime, 11);
-            assert_eq!(seq.explanations, par.explanations, "{n} threads");
-            assert_eq!(
-                seq.metrics.invocations, par.metrics.invocations,
-                "{n} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_shap_matches_sequential_driver_exactly() {
-        let (ctx, clf, batch) = setup();
-        let shap = KernelShapExplainer::new(ShapParams {
-            n_samples: 48,
-            ..Default::default()
-        });
-        let seq = with_threads(1).explain_shap(&ctx, &clf, &batch, &shap, 20, 13);
-        for n in [1usize, 2, 4] {
-            let par = with_threads(n).explain_shap_parallel(&ctx, &clf, &batch, &shap, 20, 13);
-            assert_eq!(seq.explanations, par.explanations, "{n} threads");
-            assert_eq!(
-                seq.metrics.invocations, par.metrics.invocations,
-                "{n} threads"
-            );
-        }
-    }
-
-    #[test]
     fn parallel_workers_share_one_registry() {
         let (ctx, clf, batch) = setup();
-        let lime = LimeExplainer::new(LimeParams {
-            n_samples: 60,
-            ..Default::default()
-        });
         let reg = crate::obs::MetricsRegistry::new();
         let shahin = with_threads(4).with_obs(&reg);
-        shahin.explain_lime_parallel(&ctx, &clf, &batch, &lime, 31);
+        shahin.explain(&ctx, &clf, &batch, &lime(60), 31, true);
         let snap = reg.snapshot();
         let n = batch.n_rows() as u64;
         // Every worker recorded into the same histograms: no lost rows.
@@ -508,10 +136,6 @@ mod tests {
         use std::sync::Arc;
 
         let (ctx, clf, batch) = setup();
-        let lime = LimeExplainer::new(LimeParams {
-            n_samples: 60,
-            ..Default::default()
-        });
         type LineageKey = (u32, Vec<u32>, u64, u64, u64, u64);
         let mut baseline: Option<Vec<LineageKey>> = None;
         for n in [1usize, 2, 4] {
@@ -519,7 +143,7 @@ mod tests {
             let sink = Arc::new(ProvenanceSink::new());
             reg.attach_provenance_sink(Arc::clone(&sink));
             let shahin = with_threads(n).with_obs(&reg);
-            shahin.explain_lime_parallel(&ctx, &clf, &batch, &lime, 11);
+            shahin.explain(&ctx, &clf, &batch, &lime(60), 11, true);
             let recs = sink.records();
             assert_eq!(recs.len(), batch.n_rows(), "{n} threads");
             if n > 1 {
@@ -563,10 +187,13 @@ mod tests {
             }
         }
         let anchor = AnchorExplainer::default();
+        let kind = ExplainerKind::Anchor(anchor.clone());
         let clf = CountingClassifier::new(Key);
         let seq = with_threads(1).explain_anchor(&ctx, &clf, &batch, &anchor, 13);
         for n in [1usize, 2, 4] {
-            let par = with_threads(n).explain_anchor_parallel(&ctx, &clf, &batch, &anchor, 13);
+            let par: crate::metrics::BatchResult<AnchorExplanation> = with_threads(n)
+                .explain(&ctx, &clf, &batch, &kind, 13, true)
+                .into_rules();
             assert_eq!(par.explanations.len(), batch.n_rows());
             for (row, (s, p)) in seq.explanations.iter().zip(&par.explanations).enumerate() {
                 assert_eq!(s.rule, p.rule, "row {row}, {n} threads");

@@ -1,8 +1,9 @@
 //! Per-tuple panic isolation for the batch drivers.
 //!
 //! A production batch must not lose hours of materialized perturbation
-//! work because one tuple's classifier call misbehaved. Every driver
-//! wraps its per-tuple body in [`guard_tuple`]: a panic unwinding out of
+//! work because one tuple's classifier call misbehaved. The per-tuple
+//! kernel every driver explains through ([`crate::kernel`]) wraps each
+//! tuple in [`guard_tuple`]: a panic unwinding out of
 //! the tuple (either a raw panic from the model or a typed
 //! [`shahin_model::PredictError`] escalated by the resilient wrapper) is
 //! caught, classified, and turned into a
@@ -108,15 +109,16 @@ pub(crate) fn guard_tuple<T>(
     }
 }
 
-/// Folds the per-row outcome slots of a parallel driver (index == row)
-/// into the surviving explanations and the batch report. Failures and
-/// degraded rows come out in row order because the slots are walked in
-/// order.
-pub(crate) fn collect_outcomes<T>(slots: Vec<Option<TupleOutcome<T>>>) -> (Vec<T>, BatchReport) {
-    let mut explanations = Vec::with_capacity(slots.len());
+/// Folds a driver's per-row outcomes, in row order (position == row),
+/// into the surviving explanations and the batch report, whose failures
+/// and degraded rows therefore come out in row order too.
+pub(crate) fn collect_outcomes<T>(
+    outcomes: impl IntoIterator<Item = TupleOutcome<T>>,
+) -> (Vec<T>, BatchReport) {
+    let mut explanations = Vec::new();
     let mut report = BatchReport::default();
-    for (row, slot) in slots.into_iter().enumerate() {
-        match slot.expect("every row visited") {
+    for (row, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
             TupleOutcome::Ok(v) => explanations.push(v),
             TupleOutcome::Degraded(v) => {
                 explanations.push(v);

@@ -52,6 +52,27 @@ impl ExplainerKind {
             ExplainerKind::Shap(_) => "SHAP",
         }
     }
+
+    /// The per-tuple sample budget automatic τ selection aims the store
+    /// at (`n_target` of [`crate::ShahinBatch`]'s preparation).
+    pub(crate) fn n_target(&self) -> usize {
+        match self {
+            ExplainerKind::Lime(l) => l.params.n_samples,
+            // Anchor has no fixed per-tuple count; 400 approximates the
+            // bandit's typical rule-conditioned draw budget per tuple.
+            ExplainerKind::Anchor(_) => 400,
+            ExplainerKind::Shap(s) => s.params.n_samples,
+        }
+    }
+
+    /// This explainer recording its own metrics into `reg` (only Anchor
+    /// has any: its beam-search spans and counters).
+    pub(crate) fn with_obs(self, reg: &MetricsRegistry) -> ExplainerKind {
+        match self {
+            ExplainerKind::Anchor(a) => ExplainerKind::Anchor(a.with_obs(reg)),
+            other => other,
+        }
+    }
 }
 
 /// Which execution strategy to use (the paper's methods and baselines).
@@ -68,8 +89,9 @@ pub enum Method {
     Batch(BatchConfig),
     /// Shahin-Batch with preparation *and* the per-tuple phase fanned out
     /// over [`BatchConfig::n_threads`] worker threads (LIME/SHAP results
-    /// are identical to [`Method::Batch`]; Anchor rules match for crisp
-    /// classifiers, invocation counts race within tolerance).
+    /// are identical to [`Method::Batch`]; so are Anchor's at one thread —
+    /// beyond that, threads race on the shared caches, so rules match for
+    /// crisp classifiers and invocation counts vary within tolerance).
     BatchParallel(BatchConfig),
     /// Shahin-Streaming.
     Streaming(StreamingConfig),
@@ -150,6 +172,32 @@ fn wrap_rules(r: BatchResult<AnchorExplanation>) -> RunReport {
     }
 }
 
+impl RunReport {
+    /// The run's explanations as LIME / SHAP weight vectors.
+    pub(crate) fn into_weights(self) -> BatchResult<FeatureWeights> {
+        self.typed(|e| match e {
+            Explanation::Weights(w) => w,
+            Explanation::Rule(_) => unreachable!("an attribution run produced a rule"),
+        })
+    }
+
+    /// The run's explanations as Anchor rules.
+    pub(crate) fn into_rules(self) -> BatchResult<AnchorExplanation> {
+        self.typed(|e| match e {
+            Explanation::Rule(r) => r,
+            Explanation::Weights(_) => unreachable!("an Anchor run produced weights"),
+        })
+    }
+
+    fn typed<T>(self, unwrap: fn(Explanation) -> T) -> BatchResult<T> {
+        BatchResult {
+            explanations: self.explanations.into_iter().map(unwrap).collect(),
+            metrics: self.metrics,
+            report: self.report,
+        }
+    }
+}
+
 /// Runs one (method, explainer) combination over the batch.
 pub fn run<C: Classifier>(
     method: &Method,
@@ -217,56 +265,19 @@ pub fn run_with_obs<C: Classifier>(
         (Method::Greedy(budget), ExplainerKind::Shap(e)) => wrap_weights(
             Greedy::new(*budget).explain_shap(ctx, clf, batch, e, SHAP_BASE_SAMPLES, seed),
         ),
-        (Method::Batch(cfg), ExplainerKind::Lime(e)) => wrap_weights(
-            ShahinBatch::new(cfg.clone())
-                .with_obs(obs)
-                .explain_lime(ctx, clf, batch, e, seed),
-        ),
-        (Method::Batch(cfg), ExplainerKind::Anchor(e)) => wrap_rules(
-            ShahinBatch::new(cfg.clone())
-                .with_obs(obs)
-                .explain_anchor(ctx, clf, batch, e, seed),
-        ),
-        (Method::Batch(cfg), ExplainerKind::Shap(e)) => {
-            wrap_weights(ShahinBatch::new(cfg.clone()).with_obs(obs).explain_shap(
+        (Method::Batch(cfg) | Method::BatchParallel(cfg), _) => {
+            ShahinBatch::new(cfg.clone()).with_obs(obs).explain(
                 ctx,
                 clf,
                 batch,
-                e,
-                SHAP_BASE_SAMPLES,
+                kind,
                 seed,
-            ))
+                matches!(method, Method::BatchParallel(_)),
+            )
         }
-        (Method::BatchParallel(cfg), ExplainerKind::Lime(e)) => wrap_weights(
-            ShahinBatch::new(cfg.clone())
-                .with_obs(obs)
-                .explain_lime_parallel(ctx, clf, batch, e, seed),
-        ),
-        (Method::BatchParallel(cfg), ExplainerKind::Anchor(e)) => wrap_rules(
-            ShahinBatch::new(cfg.clone())
-                .with_obs(obs)
-                .explain_anchor_parallel(ctx, clf, batch, e, seed),
-        ),
-        (Method::BatchParallel(cfg), ExplainerKind::Shap(e)) => wrap_weights(
-            ShahinBatch::new(cfg.clone())
-                .with_obs(obs)
-                .explain_shap_parallel(ctx, clf, batch, e, SHAP_BASE_SAMPLES, seed),
-        ),
-        (Method::Streaming(cfg), ExplainerKind::Lime(e)) => wrap_weights(
-            ShahinStreaming::new(cfg.clone())
-                .with_obs(obs)
-                .explain_lime(ctx, clf, batch, e, seed),
-        ),
-        (Method::Streaming(cfg), ExplainerKind::Anchor(e)) => wrap_rules(
-            ShahinStreaming::new(cfg.clone())
-                .with_obs(obs)
-                .explain_anchor(ctx, clf, batch, e, seed),
-        ),
-        (Method::Streaming(cfg), ExplainerKind::Shap(e)) => wrap_weights(
-            ShahinStreaming::new(cfg.clone())
-                .with_obs(obs)
-                .explain_shap(ctx, clf, batch, e, SHAP_BASE_SAMPLES, seed),
-        ),
+        (Method::Streaming(cfg), _) => ShahinStreaming::new(cfg.clone())
+            .with_obs(obs)
+            .explain(ctx, clf, batch, kind, seed),
     };
     // Summarize any collected lineage as provenance.* gauges, so a metrics
     // snapshot taken after the run reconciles against the JSONL export.

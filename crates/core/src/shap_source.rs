@@ -7,7 +7,7 @@
 //! perturbations with coalition `s` frozen at the instance's values, and
 //! their classifier labels come for free.
 
-use shahin_explain::{CoalitionSample, CoalitionSource};
+use shahin_explain::{CoalitionSample, CoalitionSource, LabeledSample};
 use shahin_fim::Itemset;
 
 use crate::store::PerturbationStore;
@@ -53,6 +53,25 @@ pub fn pool_coalitions(
         }
         cursor += 1;
     }
+}
+
+/// Cached samples as pre-labeled coalitions for the tuple with `codes`:
+/// each sample's coalition is every attribute where it agrees with the
+/// tuple (GREEDY's and streaming warm-up's reuse, which have no frozen
+/// itemsets to read coalitions from).
+pub(crate) fn agreement_coalitions(hits: &[&LabeledSample], codes: &[u32]) -> Vec<CoalitionSample> {
+    hits.iter()
+        .map(|s| CoalitionSample {
+            coalition: s
+                .codes
+                .iter()
+                .enumerate()
+                .filter(|&(a, &c)| codes[a] == c)
+                .map(|(a, _)| a as u16)
+                .collect(),
+            proba: s.proba,
+        })
+        .collect()
 }
 
 /// A per-tuple [`CoalitionSource`] over the materialized store.

@@ -9,32 +9,33 @@
 //! border** so itemsets that later become frequent are promoted cheaply,
 //! rebuilds the perturbation repository around the new itemset family
 //! (carrying over every still-useful sample), and tops entries up to `τ`
-//! materialized perturbations.
+//! materialized perturbations. Each tuple itself goes through the same
+//! per-tuple [`crate::kernel`] as every other driver.
 
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use shahin_explain::{
-    AnchorExplainer, AnchorExplanation, CoalitionSample, ExplainContext, FeatureWeights,
-    KernelShapExplainer, LabeledSample, LimeExplainer, NoSource,
+    AnchorExplainer, AnchorExplanation, ExplainContext, FeatureWeights, KernelShapExplainer,
+    LabeledSample, LimeExplainer,
 };
 use shahin_fim::{apriori, AprioriParams, Itemset, MatchScratch};
 use shahin_model::{Classifier, CountingClassifier};
-use shahin_tabular::{Dataset, DiscreteTable, Feature};
+use shahin_tabular::{Dataset, DiscreteTable};
 
-use crate::anchor_cache::{CachingRuleSampler, SharedAnchorCaches};
+use crate::anchor_cache::SharedAnchorCaches;
+use crate::baseline::RecordingClassifier;
 use crate::batch::estimate_base_value_guarded;
 use crate::config::StreamingConfig;
 use crate::greedy_cache::TaggedLruCache;
-use crate::metrics::{BatchReport, BatchResult, OverheadBreakdown, RunMetrics};
+use crate::kernel::{Kernel, Pool, Tuple, TupleWorker};
+use crate::metrics::{BatchResult, OverheadBreakdown, RunMetrics};
 use crate::obs::{names, ProvenanceCtx};
-use crate::quarantine::{guard_tuple, QuarantineObs, TupleOutcome};
-use crate::runner::per_tuple_seed;
-use crate::shap_source::StoreCoalitionSource;
-use crate::store::{LookupStats, PerturbationStore};
+use crate::quarantine::collect_outcomes;
+use crate::runner::{ExplainerKind, RunReport};
+use crate::store::PerturbationStore;
 use shahin_obs::{Counter, EventSink, Histogram, MetricsRegistry};
 
 /// The streaming-mode optimizer.
@@ -311,39 +312,6 @@ fn window_table(window: &[Vec<u32>], n_attrs: usize) -> DiscreteTable {
     DiscreteTable::new(cols)
 }
 
-/// Records classifier calls as labeled samples (shared with the GREEDY
-/// baseline's needs, duplicated here to keep module boundaries clean).
-struct Recorder<'a, C> {
-    inner: &'a C,
-    ctx: &'a ExplainContext,
-    log: Mutex<Vec<LabeledSample>>,
-}
-
-impl<'a, C: Classifier> Recorder<'a, C> {
-    fn new(inner: &'a C, ctx: &'a ExplainContext) -> Self {
-        Recorder {
-            inner,
-            ctx,
-            log: Mutex::new(Vec::new()),
-        }
-    }
-    fn take_log(&self) -> Vec<LabeledSample> {
-        std::mem::take(&mut self.log.lock())
-    }
-}
-
-impl<C: Classifier> Classifier for Recorder<'_, C> {
-    fn predict_proba(&self, instance: &[Feature]) -> f64 {
-        let proba = self.inner.predict_proba(instance);
-        let codes = self.ctx.discretizer().encode_instance(instance);
-        self.log.lock().push(LabeledSample {
-            codes: codes.into_boxed_slice(),
-            proba,
-        });
-        proba
-    }
-}
-
 impl ShahinStreaming {
     /// Creates a streaming optimizer (with observability disabled).
     pub fn new(config: StreamingConfig) -> ShahinStreaming {
@@ -360,114 +328,76 @@ impl ShahinStreaming {
         self
     }
 
-    /// Streaming LIME: tuples of `stream` are explained strictly in order,
-    /// each seen only when its turn comes.
-    pub fn explain_lime<C: Classifier>(
+    /// Explains the tuples of `stream` strictly in order, each seen only
+    /// when its turn comes: per tuple, the kernel (against the repository,
+    /// or the warm-up cache before the first refresh), then the tuple's
+    /// fresh labels into the repository, the tuple into the mining window,
+    /// and a refresh when one is due. Anchor's precision counts and
+    /// coverage accumulate in its shared caches across the stream.
+    pub(crate) fn explain<C: Classifier>(
         &self,
         ctx: &ExplainContext,
         clf: &CountingClassifier<C>,
         stream: &Dataset,
-        lime: &LimeExplainer,
+        explainer: &ExplainerKind,
         seed: u64,
-    ) -> BatchResult<FeatureWeights> {
+    ) -> RunReport {
         let start_inv = clf.invocations();
         let wall0 = Instant::now();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x57AE);
+        let base = estimate_base_value_guarded(explainer, ctx, clf, &mut rng, &self.obs);
         let mut st = StreamState::new(
             self.config.clone(),
             ctx.n_attrs(),
-            lime.params.n_samples,
+            explainer.n_target(),
             &self.obs,
         );
-        let retrieve_hist = self.obs.span_histogram(names::SPAN_RETRIEVE_MATCH);
-        let surrogate_hist = self.obs.span_histogram(names::SPAN_SURROGATE_FIT);
-        let prov = ProvenanceCtx::new(&self.obs, "Shahin-Streaming", "LIME");
-        let quarantine = QuarantineObs::new(&self.obs);
-        let mut report = BatchReport::default();
-        let mut retrieval = Duration::ZERO;
-        let mut explanations = Vec::with_capacity(stream.n_rows());
-
+        let caches = SharedAnchorCaches::with_obs(&self.obs);
+        let explainer = explainer.clone().with_obs(&self.obs);
+        // Anchor's draws are rule-conditioned evidence, kept in its shared
+        // caches; only LIME's and SHAP's perturbations feed the repository.
+        let absorbs = !matches!(explainer, ExplainerKind::Anchor(_));
+        let recorder = RecordingClassifier::new(clf, ctx, absorbs);
+        let kernel = Kernel {
+            explainer: &explainer,
+            ctx,
+            clf: &recorder,
+            caches: &caches,
+            base,
+            seed,
+        };
+        let prov = ProvenanceCtx::new(&self.obs, "Shahin-Streaming", explainer.name());
+        let mut worker = TupleWorker::new(&self.obs, prov);
+        let mut outcomes = Vec::with_capacity(stream.n_rows());
         for row in 0..stream.n_rows() {
-            let mut tuple_rng = StdRng::seed_from_u64(per_tuple_seed(seed, row));
             let instance = stream.instance(row);
             let codes = ctx.discretizer().encode_instance(&instance);
-            let recorder = Recorder::new(clf, ctx);
-            let outcome = guard_tuple(row as u32, &quarantine, |incidents0| {
-                let t0 = prov.start();
-                let retrieve = retrieve_hist.start();
-                let (e, matched, lookup, reuse) = match &mut st.store {
-                    Some(store) => {
-                        let (matched, lookup) = store.matching_stats(&codes, &mut st.scratch);
-                        retrieval += retrieve.stop();
-                        let store = &*store;
-                        let pooled = matched.iter().flat_map(|&id| store.samples(id).iter());
-                        let _fit = surrogate_hist.start();
-                        let (w, reuse) = lime.explain_with_reused_counted(
-                            ctx,
-                            &recorder,
-                            &instance,
-                            pooled,
-                            &mut tuple_rng,
-                        );
-                        (w, matched, lookup, reuse)
-                    }
-                    None => {
-                        let hits: Vec<LabeledSample> = st
-                            .early
-                            .lookup(&codes, lime.params.n_samples.saturating_sub(1))
-                            .into_iter()
-                            .cloned()
-                            .collect();
-                        // Warm-up lookups bypass the itemset store; only the
-                        // opportunistically reusable sample count is known.
-                        let lookup = LookupStats {
-                            samples_available: hits.len() as u64,
-                            ..LookupStats::default()
-                        };
-                        retrieval += retrieve.stop();
-                        let _fit = surrogate_hist.start();
-                        let (w, reuse) = lime.explain_with_reused_counted(
-                            ctx,
-                            &recorder,
-                            &instance,
-                            hits.iter(),
-                            &mut tuple_rng,
-                        );
-                        (w, Vec::new(), lookup, reuse)
-                    }
-                };
-                let degraded = reuse.clamped > 0 || shahin_model::degraded_incidents() > incidents0;
-                prov.record(
-                    row as u32,
-                    st.epoch,
-                    &matched,
-                    lookup,
-                    reuse.reused,
-                    reuse.fresh,
-                    reuse.invocations,
-                    (0, 0),
-                    degraded,
-                    t0,
-                );
-                (e, degraded)
-            });
+            let tuple = Tuple {
+                row,
+                codes: &codes,
+                instance: &instance,
+                epoch: st.epoch,
+            };
+            let (store, early, key) = (&mut st.store, &mut st.early, &codes[..]);
+            let fetch = move |scratch: &mut MatchScratch| match (store, early) {
+                (Some(store), _) => {
+                    let found = store.matching_stats(key, scratch);
+                    Pool::store(store, found)
+                }
+                (None, early) => Pool::loose(early),
+            };
+            outcomes.push(kernel.explain(tuple, fetch, &mut worker));
             // Labels captured before a mid-tuple panic were still paid
             // for, and the tuple was still *seen* — absorb what exists
-            // and keep it in the mining window either way.
+            // (the first is the instance's own probe) and keep it in the
+            // mining window either way.
             st.absorb(&codes, recorder.take_log().into_iter().skip(1).collect());
             st.window.push(codes);
             st.maybe_refresh(ctx, clf, &mut rng);
-            match outcome {
-                TupleOutcome::Ok(e) => explanations.push(e),
-                TupleOutcome::Degraded(e) => {
-                    explanations.push(e);
-                    report.degraded.push(row as u32);
-                }
-                TupleOutcome::Failed(f) => report.failures.push(f),
-            }
         }
 
-        BatchResult {
+        let (explanations, report) = collect_outcomes(outcomes);
+        RunReport {
             explanations,
             report,
             metrics: RunMetrics {
@@ -476,13 +406,26 @@ impl ShahinStreaming {
                 overhead: OverheadBreakdown {
                     fim: st.fim_time,
                     materialization: st.materialization_time,
-                    retrieval,
+                    retrieval: worker.retrieval,
                 },
-                store_bytes: st.peak_bytes,
+                store_bytes: st.peak_bytes + caches.approx_bytes(),
                 n_frequent: st.store.as_ref().map_or(0, PerturbationStore::len),
                 n_tuples: stream.n_rows(),
             },
         }
+    }
+
+    /// Streaming LIME.
+    pub fn explain_lime<C: Classifier>(
+        &self,
+        ctx: &ExplainContext,
+        clf: &CountingClassifier<C>,
+        stream: &Dataset,
+        lime: &LimeExplainer,
+        seed: u64,
+    ) -> BatchResult<FeatureWeights> {
+        let kind = ExplainerKind::Lime(lime.clone());
+        self.explain(ctx, clf, stream, &kind, seed).into_weights()
     }
 
     /// Streaming Anchor: precision counts and coverage accumulate across
@@ -495,232 +438,22 @@ impl ShahinStreaming {
         anchor: &AnchorExplainer,
         seed: u64,
     ) -> BatchResult<AnchorExplanation> {
-        let start_inv = clf.invocations();
-        let wall0 = Instant::now();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x57AE);
-        let mut st = StreamState::new(self.config.clone(), ctx.n_attrs(), 400, &self.obs);
-        let caches = SharedAnchorCaches::with_obs(&self.obs);
-        let anchor = anchor.clone().with_obs(&self.obs);
-        let empty_store = PerturbationStore::new(vec![], 0);
-        let retrieve_hist = self.obs.span_histogram(names::SPAN_RETRIEVE_MATCH);
-        let prov = ProvenanceCtx::new(&self.obs, "Shahin-Streaming", "Anchor");
-        let quarantine = QuarantineObs::new(&self.obs);
-        let mut report = BatchReport::default();
-        let mut retrieval = Duration::ZERO;
-        let mut explanations = Vec::with_capacity(stream.n_rows());
-
-        for row in 0..stream.n_rows() {
-            let instance = stream.instance(row);
-            let codes = ctx.discretizer().encode_instance(&instance);
-            let outcome = guard_tuple(row as u32, &quarantine, |incidents0| {
-                let t0 = prov.start();
-                let inv0 = clf.invocations();
-                let target = clf.predict(&instance);
-                let retrieve = retrieve_hist.start();
-                let (store_ref, matched, lookup): (&PerturbationStore, Vec<u32>, LookupStats) =
-                    match &mut st.store {
-                        Some(store) => {
-                            let (m, lookup) = store.matching_stats(&codes, &mut st.scratch);
-                            (&*store, m, lookup)
-                        }
-                        None => (&empty_store, Vec::new(), LookupStats::default()),
-                    };
-                retrieval += retrieve.stop();
-                let mut sampler = CachingRuleSampler::new(
-                    ctx,
-                    clf,
-                    store_ref,
-                    &matched,
-                    &caches,
-                    per_tuple_seed(seed, row),
-                );
-                let e = anchor.explain_with_sampler(&codes, target, &mut sampler);
-                let stats = sampler.stats();
-                let invocations = clf.invocations() - inv0;
-                // Anchor consumes boolean verdicts, so degradation only
-                // shows up as absorbed incidents at the resilient boundary.
-                let degraded = shahin_model::degraded_incidents() > incidents0;
-                prov.record(
-                    row as u32,
-                    st.epoch,
-                    &matched,
-                    lookup,
-                    stats.reused,
-                    stats.fresh,
-                    invocations,
-                    (stats.cache_hits, stats.cache_misses),
-                    degraded,
-                    t0,
-                );
-                (e, degraded)
-            });
-            st.window.push(codes);
-            st.maybe_refresh(ctx, clf, &mut rng);
-            match outcome {
-                TupleOutcome::Ok(e) => explanations.push(e),
-                TupleOutcome::Degraded(e) => {
-                    explanations.push(e);
-                    report.degraded.push(row as u32);
-                }
-                TupleOutcome::Failed(f) => report.failures.push(f),
-            }
-        }
-
-        BatchResult {
-            explanations,
-            report,
-            metrics: RunMetrics {
-                invocations: clf.invocations() - start_inv,
-                wall: wall0.elapsed(),
-                overhead: OverheadBreakdown {
-                    fim: st.fim_time,
-                    materialization: st.materialization_time,
-                    retrieval,
-                },
-                store_bytes: st.peak_bytes + caches.approx_bytes(),
-                n_frequent: st.store.as_ref().map_or(0, PerturbationStore::len),
-                n_tuples: stream.n_rows(),
-            },
-        }
+        let kind = ExplainerKind::Anchor(anchor.clone());
+        self.explain(ctx, clf, stream, &kind, seed).into_rules()
     }
 
-    /// Streaming KernelSHAP.
+    /// Streaming KernelSHAP (base value from
+    /// [`crate::runner::SHAP_BASE_SAMPLES`] invocations, once per stream).
     pub fn explain_shap<C: Classifier>(
         &self,
         ctx: &ExplainContext,
         clf: &CountingClassifier<C>,
         stream: &Dataset,
         shap: &KernelShapExplainer,
-        base_samples: usize,
         seed: u64,
     ) -> BatchResult<FeatureWeights> {
-        let start_inv = clf.invocations();
-        let wall0 = Instant::now();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x57AE);
-        let quarantine = QuarantineObs::new(&self.obs);
-        let base = estimate_base_value_guarded(ctx, clf, base_samples, &mut rng, &quarantine);
-        let mut st = StreamState::new(
-            self.config.clone(),
-            ctx.n_attrs(),
-            shap.params.n_samples,
-            &self.obs,
-        );
-        let retrieve_hist = self.obs.span_histogram(names::SPAN_RETRIEVE_MATCH);
-        let surrogate_hist = self.obs.span_histogram(names::SPAN_SURROGATE_FIT);
-        let prov = ProvenanceCtx::new(&self.obs, "Shahin-Streaming", "SHAP");
-        let mut report = BatchReport::default();
-        let mut retrieval = Duration::ZERO;
-        let mut explanations = Vec::with_capacity(stream.n_rows());
-
-        for row in 0..stream.n_rows() {
-            let mut tuple_rng = StdRng::seed_from_u64(per_tuple_seed(seed, row));
-            let instance = stream.instance(row);
-            let codes = ctx.discretizer().encode_instance(&instance);
-            let recorder = Recorder::new(clf, ctx);
-            let outcome = guard_tuple(row as u32, &quarantine, |incidents0| {
-                let t0 = prov.start();
-                let retrieve = retrieve_hist.start();
-                let (e, matched, lookup, reuse) = match &mut st.store {
-                    Some(store) => {
-                        let (matched, lookup) = store.matching_stats(&codes, &mut st.scratch);
-                        let store = &*store;
-                        let pooled = crate::shap_source::pool_coalitions(
-                            store,
-                            &matched,
-                            shap.params.n_samples / 2,
-                        );
-                        let mut source = StoreCoalitionSource::new(store, matched.clone());
-                        retrieval += retrieve.stop();
-                        let _fit = surrogate_hist.start();
-                        let (w, reuse) = shap.explain_with_counted(
-                            ctx,
-                            &recorder,
-                            &instance,
-                            base,
-                            pooled,
-                            &mut source,
-                            &mut tuple_rng,
-                        );
-                        (w, matched, lookup, reuse)
-                    }
-                    None => {
-                        let pooled: Vec<CoalitionSample> = st
-                            .early
-                            .lookup(&codes, shap.params.n_samples / 2)
-                            .into_iter()
-                            .map(|s| CoalitionSample {
-                                coalition: s
-                                    .codes
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|&(a, &c)| codes[a] == c)
-                                    .map(|(a, _)| a as u16)
-                                    .collect(),
-                                proba: s.proba,
-                            })
-                            .collect();
-                        let lookup = LookupStats {
-                            samples_available: pooled.len() as u64,
-                            ..LookupStats::default()
-                        };
-                        retrieval += retrieve.stop();
-                        let _fit = surrogate_hist.start();
-                        let (w, reuse) = shap.explain_with_counted(
-                            ctx,
-                            &recorder,
-                            &instance,
-                            base,
-                            pooled,
-                            &mut NoSource,
-                            &mut tuple_rng,
-                        );
-                        (w, Vec::new(), lookup, reuse)
-                    }
-                };
-                let degraded = reuse.clamped > 0 || shahin_model::degraded_incidents() > incidents0;
-                prov.record(
-                    row as u32,
-                    st.epoch,
-                    &matched,
-                    lookup,
-                    reuse.reused,
-                    reuse.fresh,
-                    reuse.invocations,
-                    (0, 0),
-                    degraded,
-                    t0,
-                );
-                (e, degraded)
-            });
-            st.absorb(&codes, recorder.take_log().into_iter().skip(1).collect());
-            st.window.push(codes);
-            st.maybe_refresh(ctx, clf, &mut rng);
-            match outcome {
-                TupleOutcome::Ok(e) => explanations.push(e),
-                TupleOutcome::Degraded(e) => {
-                    explanations.push(e);
-                    report.degraded.push(row as u32);
-                }
-                TupleOutcome::Failed(f) => report.failures.push(f),
-            }
-        }
-
-        BatchResult {
-            explanations,
-            report,
-            metrics: RunMetrics {
-                invocations: clf.invocations() - start_inv,
-                wall: wall0.elapsed(),
-                overhead: OverheadBreakdown {
-                    fim: st.fim_time,
-                    materialization: st.materialization_time,
-                    retrieval,
-                },
-                store_bytes: st.peak_bytes,
-                n_frequent: st.store.as_ref().map_or(0, PerturbationStore::len),
-                n_tuples: stream.n_rows(),
-            },
-        }
+        let kind = ExplainerKind::Shap(shap.clone());
+        self.explain(ctx, clf, stream, &kind, seed).into_weights()
     }
 }
 
@@ -728,7 +461,7 @@ impl ShahinStreaming {
 mod tests {
     use super::*;
     use shahin_model::MajorityClass;
-    use shahin_tabular::{train_test_split, DatasetPreset};
+    use shahin_tabular::{train_test_split, DatasetPreset, Feature};
 
     fn setup(seed: u64, n: usize) -> (ExplainContext, CountingClassifier<MajorityClass>, Dataset) {
         let (data, labels) = DatasetPreset::CensusIncome.spec(0.03).generate(seed);
@@ -797,7 +530,7 @@ mod tests {
             ..Default::default()
         });
         let streaming = ShahinStreaming::new(small_config());
-        let res = streaming.explain_shap(&ctx, &clf, &stream, &shap, 30, 7);
+        let res = streaming.explain_shap(&ctx, &clf, &stream, &shap, 7);
         assert_eq!(res.explanations.len(), stream.n_rows());
         for e in &res.explanations {
             let total: f64 = e.weights.iter().sum();

@@ -13,15 +13,16 @@
 //!
 //! # Determinism
 //!
-//! The engine reproduces the offline [`crate::ShahinBatch`] parallel
-//! drivers bit-for-bit: the store is materialized by the same
-//! `prepare(..)` with the same `(config, seed)`, and each tuple's RNG
-//! stream is derived from its *global* warm-set row index via
-//! [`per_tuple_seed`] — never from its position inside a batch. A row
-//! therefore gets the same LIME/SHAP explanation no matter which worker
-//! thread picks the request up, how many run, or when the request
-//! arrives (Anchor rules are stable for crisp classifiers; its
-//! invocation counts race, as in the offline parallel driver).
+//! The engine reproduces the offline [`crate::ShahinBatch`] drivers
+//! bit-for-bit: the store is materialized by the same `prepare(..)` with
+//! the same `(config, seed)`, and each request goes through the same
+//! per-tuple [`crate::kernel`] with the tuple's RNG stream derived from
+//! its *global* warm-set row index via [`crate::per_tuple_seed`] — never
+//! from its position inside a batch. A row therefore gets the same
+//! LIME/SHAP explanation no matter which worker thread picks the request
+//! up, how many run, or when the request arrives (Anchor rules are stable
+//! for crisp classifiers; its invocation counts race beyond one worker,
+//! as in the offline parallel driver).
 //!
 //! # Refresh epochs
 //!
@@ -34,67 +35,32 @@
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use shahin_explain::{AnchorExplainer, ExplainContext, KernelShapExplainer, LimeExplainer};
+use shahin_explain::ExplainContext;
 use shahin_fim::MatchScratch;
 use shahin_model::{Classifier, CountingClassifier};
 use shahin_tabular::{Dataset, DiscreteTable};
 
-use crate::anchor_cache::{CachingRuleSampler, SharedAnchorCaches};
-use crate::batch::{estimate_base_value_guarded, ShahinBatch};
+use crate::anchor_cache::SharedAnchorCaches;
+use crate::batch::{estimate_base_value_guarded, in_chunks, ShahinBatch};
 use crate::config::{BatchConfig, Miner};
+use crate::kernel::{Kernel, Pool, Tuple, TupleWorker};
 use crate::metrics::TupleFailure;
-use crate::obs::{
-    names, register_standard, Histogram, MetricsRegistry, ProvenanceCtx, StageSpan, TraceCounters,
-};
-use crate::parallel::chunks;
-use crate::quarantine::{guard_tuple, QuarantineObs, TupleOutcome};
-use crate::runner::{per_tuple_seed, Explanation, SHAP_BASE_SAMPLES};
-use crate::shap_source::{pool_coalitions, StoreCoalitionSource};
+use crate::obs::{names, register_standard, MetricsRegistry, ProvenanceCtx};
+use crate::quarantine::TupleOutcome;
+use crate::runner::{ExplainerKind, Explanation};
 use crate::snapshot::{
     Dec, Enc, SnapshotError, SnapshotReader, SnapshotWriter, TAG_CACHES, TAG_META, TAG_STORE,
 };
 use crate::store::{MatchEngine, PerturbationStore};
 
-/// The explainer a [`WarmEngine`] serves (one per engine; a service that
-/// offers several runs several engines over the same warm set).
-#[derive(Clone, Debug)]
-pub enum WarmExplainer {
-    /// LIME feature attributions.
-    Lime(LimeExplainer),
-    /// Anchor rules.
-    Anchor(AnchorExplainer),
-    /// KernelSHAP feature attributions.
-    Shap(KernelShapExplainer),
-}
-
-impl WarmExplainer {
-    /// Canonical explainer name (matches [`crate::ExplainerKind::name`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            WarmExplainer::Lime(_) => "LIME",
-            WarmExplainer::Anchor(_) => "Anchor",
-            WarmExplainer::Shap(_) => "SHAP",
-        }
-    }
-
-    /// The per-tuple sample budget used by automatic τ selection (the same
-    /// `n_target` the offline drivers pass to `prepare`).
-    fn n_target(&self) -> usize {
-        match self {
-            WarmExplainer::Lime(l) => l.params.n_samples,
-            // Anchor has no fixed per-tuple count; 400 approximates the
-            // bandit's typical draw budget (as in the offline driver).
-            WarmExplainer::Anchor(_) => 400,
-            WarmExplainer::Shap(s) => s.params.n_samples,
-        }
-    }
-}
+/// The former name of [`ExplainerKind`] — the explainer a [`WarmEngine`]
+/// serves — kept because the `benchmark/` package still names it.
+pub type WarmExplainer = ExplainerKind;
 
 /// One explain request addressed to a warm engine: a *global* row index
 /// into the warm set, plus the serving request id stamped onto the
@@ -107,10 +73,10 @@ pub struct WarmRequest {
     pub request_id: u64,
     /// Trace id of the request's [`shahin_obs::RequestTrace`], if the
     /// serve layer is tracing it. When set, the engine records per-stage
-    /// [`StageSpan`]s — `retrieve`, `classify`, `explain` — into the
-    /// [`WarmWorker`] it was handed ([`WarmWorker::stages`]), which the
-    /// serve worker folds into the request's span tree. `None` keeps the
-    /// engine-side tracing cost at one branch per stage.
+    /// [`crate::StageSpan`]s — `retrieve`, `classify`, `explain` — into
+    /// the [`TupleWorker`] it was handed ([`TupleWorker::stages`]), which
+    /// the serve worker folds into the request's span tree. `None` keeps
+    /// the engine-side tracing cost at one branch per stage.
     pub trace: Option<u64>,
 }
 
@@ -146,7 +112,7 @@ fn mix(h: u64, v: u64) -> u64 {
 /// [`WarmEngine::prime_from_snapshot`] rejects the mismatch up front.
 fn snapshot_fingerprint(
     config: &BatchConfig,
-    explainer: &WarmExplainer,
+    explainer: &ExplainerKind,
     warm: &Dataset,
     n_attrs: usize,
     seed: u64,
@@ -198,7 +164,7 @@ struct SnapshotParts {
 /// inputs intact for a cold-start fallback.
 fn load_snapshot_parts(
     config: &BatchConfig,
-    explainer: &WarmExplainer,
+    explainer: &ExplainerKind,
     n_attrs: usize,
     warm: &Dataset,
     seed: u64,
@@ -248,9 +214,8 @@ pub struct WarmEngine<C: Classifier> {
     ctx: ExplainContext,
     clf: CountingClassifier<C>,
     warm: Dataset,
-    explainer: WarmExplainer,
-    /// Obs-wired Anchor clone (the offline driver wires it per run).
-    anchor: Option<AnchorExplainer>,
+    /// The served explainer, its Anchor arm wired to the engine's registry.
+    explainer: ExplainerKind,
     caches: SharedAnchorCaches,
     seed: u64,
     /// SHAP base value, estimated once at prime time (0.5 otherwise).
@@ -268,7 +233,7 @@ impl<C: Classifier> WarmEngine<C> {
     /// the same preparation the offline drivers run per batch, paid once.
     pub fn prime(
         config: BatchConfig,
-        explainer: WarmExplainer,
+        explainer: ExplainerKind,
         ctx: ExplainContext,
         clf: CountingClassifier<C>,
         warm: Dataset,
@@ -279,26 +244,14 @@ impl<C: Classifier> WarmEngine<C> {
         let shahin = ShahinBatch::new(config).with_obs(reg);
         let mut rng = StdRng::seed_from_u64(seed);
         let prep = shahin.prepare(&ctx, &clf, &warm, explainer.n_target(), seed, &mut rng);
-        let quarantine = QuarantineObs::new(reg);
-        let base = match &explainer {
-            WarmExplainer::Shap(_) => {
-                estimate_base_value_guarded(&ctx, &clf, SHAP_BASE_SAMPLES, &mut rng, &quarantine)
-            }
-            _ => 0.5,
-        };
-        let caches = SharedAnchorCaches::with_obs(reg);
-        let anchor = match &explainer {
-            WarmExplainer::Anchor(a) => Some(a.clone().with_obs(reg)),
-            _ => None,
-        };
+        let base = estimate_base_value_guarded(&explainer, &ctx, &clf, &mut rng, reg);
         WarmEngine {
             shahin,
             ctx,
             clf,
             warm,
-            explainer,
-            anchor,
-            caches,
+            explainer: explainer.with_obs(reg),
+            caches: SharedAnchorCaches::with_obs(reg),
             seed,
             base,
             state: RwLock::new(WarmState {
@@ -482,7 +435,7 @@ impl<C: Classifier> WarmEngine<C> {
     #[allow(clippy::too_many_arguments)]
     pub fn prime_from_snapshot(
         config: BatchConfig,
-        explainer: WarmExplainer,
+        explainer: ExplainerKind,
         ctx: ExplainContext,
         clf: CountingClassifier<C>,
         warm: Dataset,
@@ -507,7 +460,7 @@ impl<C: Classifier> WarmEngine<C> {
     #[allow(clippy::too_many_arguments)]
     pub fn prime_warm_or_cold(
         config: BatchConfig,
-        explainer: WarmExplainer,
+        explainer: ExplainerKind,
         ctx: ExplainContext,
         clf: CountingClassifier<C>,
         warm: Dataset,
@@ -546,7 +499,7 @@ impl<C: Classifier> WarmEngine<C> {
     #[allow(clippy::too_many_arguments)]
     fn assemble_hydrated(
         config: BatchConfig,
-        explainer: WarmExplainer,
+        explainer: ExplainerKind,
         ctx: ExplainContext,
         clf: CountingClassifier<C>,
         warm: Dataset,
@@ -564,17 +517,12 @@ impl<C: Classifier> WarmEngine<C> {
         store.attach_obs(reg);
         let table = ctx.discretizer().encode_dataset(&warm);
         let shahin = ShahinBatch::new(config).with_obs(reg);
-        let anchor = match &explainer {
-            WarmExplainer::Anchor(a) => Some(a.clone().with_obs(reg)),
-            _ => None,
-        };
         WarmEngine {
             shahin,
             ctx,
             clf,
             warm,
-            explainer,
-            anchor,
+            explainer: explainer.with_obs(reg),
             caches,
             seed,
             base,
@@ -587,16 +535,10 @@ impl<C: Classifier> WarmEngine<C> {
 
     /// A fresh per-worker context: resolve once per worker thread, reuse
     /// across every request that thread explains on this engine.
-    pub fn worker(&self) -> WarmWorker {
-        WarmWorker {
-            retrieve_hist: self.obs.span_histogram(names::SPAN_RETRIEVE_MATCH),
-            surrogate_hist: self.obs.span_histogram(names::SPAN_SURROGATE_FIT),
-            prov: ProvenanceCtx::new(&self.obs, "Shahin-Serve", self.explainer.name())
-                .with_tenant(self.tenant.clone()),
-            quarantine: QuarantineObs::new(&self.obs),
-            stages: Vec::new(),
-            scratch: MatchScratch::new(),
-        }
+    pub fn worker(&self) -> TupleWorker {
+        let prov = ProvenanceCtx::new(&self.obs, "Shahin-Serve", self.explainer.name())
+            .with_tenant(self.tenant.clone());
+        TupleWorker::new(&self.obs, prov)
     }
 
     /// Explains a batch of requests against the warm repository — the
@@ -607,161 +549,48 @@ impl<C: Classifier> WarmEngine<C> {
     /// thread per chunk of [`BatchConfig::n_threads`]. Rows must be
     /// `< n_rows()` (this panics on out-of-range rows).
     pub fn explain(&self, requests: &[WarmRequest]) -> Vec<WarmOutcome> {
-        let run = |requests: &[WarmRequest]| -> Vec<WarmOutcome> {
+        in_chunks(requests.len(), self.n_workers(), |range| {
             let mut worker = self.worker();
-            requests
+            requests[range]
                 .iter()
                 .map(|&req| self.explain_request(req, &mut worker))
-                .collect()
-        };
-        let chunks = chunks(requests.len(), self.n_workers());
-        if chunks.len() <= 1 {
-            return run(requests);
-        }
-        let mut parts: Vec<Vec<WarmOutcome>> = vec![Vec::new(); chunks.len()];
-        std::thread::scope(|scope| {
-            for (i, (&(start, end), out)) in chunks.iter().zip(parts.iter_mut()).enumerate() {
-                let run = &run;
-                std::thread::Builder::new()
-                    .name(format!("worker-{i}"))
-                    .spawn_scoped(scope, move || *out = run(&requests[start..end]))
-                    .expect("spawn warm worker");
-            }
-        });
-        parts.into_iter().flatten().collect()
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Explains one request on the calling thread — the serve workers'
-    /// entry point, and the offline parallel drivers' guarded per-tuple
-    /// body over the resident store. Everything is keyed on the *global* warm-set row, so the
+    /// entry point — through the per-tuple kernel over the resident
+    /// store. Everything is keyed on the *global* warm-set row, so the
     /// explanation is bit-identical to the offline run no matter which
-    /// thread runs it, when, or beside which other requests; the tuple's
-    /// RNG stream is a function of the row alone and the shared state is
-    /// only read. A panic unwinding out of the tuple quarantines it.
-    pub fn explain_request(&self, req: WarmRequest, worker: &mut WarmWorker) -> WarmOutcome {
+    /// thread runs it, when, or beside which other requests. A panic
+    /// unwinding out of the tuple quarantines it.
+    pub fn explain_request(&self, req: WarmRequest, worker: &mut TupleWorker) -> WarmOutcome {
         let state = self.state.read();
-        let (table, store) = (&state.table, &state.store);
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        let row = req.row;
-        let prov = worker.prov.tagged(req.request_id, req.trace);
-        // Armed only when the request carries a trace id; the untraced
-        // path pays one `Option` check per stage. Tracing must never
-        // perturb the explanation: it takes no RNG draws and the
-        // per-tuple seed stays a function of the row alone.
-        worker.stages.clear();
-        let mut trace = StageTrace(req.trace.map(|_| &mut worker.stages));
-        let (ctx, clf) = (&self.ctx, &self.clf);
-        let outcome = guard_tuple(row as u32, &worker.quarantine, |incidents0| {
-            let t0 = prov.start();
-            let codes = table.row(row);
-            let retrieve = worker.retrieve_hist.start();
-            let stage_t = trace.start();
-            let (matched, lookup) = store.matching_read_stats(&codes, &mut worker.scratch);
-            trace.push("retrieve", stage_t, |c| {
-                c.store_hits = lookup.hits;
-                c.store_misses = lookup.misses;
-            });
-            drop(retrieve);
-            let instance = self.warm.instance(row);
-            // What each arm hands to the provenance record below.
-            let (explanation, clamped, reused, fresh, invocations, cache) = match &self.explainer {
-                WarmExplainer::Lime(lime) => {
-                    let mut tuple_rng = StdRng::seed_from_u64(per_tuple_seed(self.seed, row));
-                    let pooled = matched.iter().flat_map(|&id| store.samples(id).iter());
-                    let _fit = worker.surrogate_hist.start();
-                    let stage_t = trace.start();
-                    let (weights, reuse) = lime.explain_with_reused_counted(
-                        ctx,
-                        clf,
-                        &instance,
-                        pooled,
-                        &mut tuple_rng,
-                    );
-                    trace.push_fit(stage_t, reuse.reused, reuse.fresh, reuse.invocations);
-                    (
-                        Explanation::Weights(weights),
-                        reuse.clamped > 0,
-                        reuse.reused,
-                        reuse.fresh,
-                        reuse.invocations,
-                        (0, 0),
-                    )
-                }
-                WarmExplainer::Anchor(_) => {
-                    let anchor = self
-                        .anchor
-                        .as_ref()
-                        .expect("anchor engine has a wired clone");
-                    let stage_t = trace.start();
-                    let target = clf.predict(&instance);
-                    trace.push("classify", stage_t, |c| c.invocations = 1);
-                    let mut sampler = CachingRuleSampler::new(
-                        ctx,
-                        clf,
-                        store,
-                        &matched,
-                        &self.caches,
-                        per_tuple_seed(self.seed, row),
-                    );
-                    let stage_t = trace.start();
-                    let explanation = anchor.explain_with_sampler(&codes, target, &mut sampler);
-                    let stats = sampler.stats();
-                    trace.push("explain", stage_t, |c| {
-                        c.samples_reused = stats.reused;
-                        c.samples_fresh = stats.fresh;
-                        c.invocations = stats.fresh;
-                    });
-                    (
-                        Explanation::Rule(explanation),
-                        false,
-                        stats.reused,
-                        stats.fresh,
-                        stats.fresh + 1,
-                        (stats.cache_hits, stats.cache_misses),
-                    )
-                }
-                WarmExplainer::Shap(shap) => {
-                    let mut tuple_rng = StdRng::seed_from_u64(per_tuple_seed(self.seed, row));
-                    let pooled = pool_coalitions(store, &matched, shap.params.n_samples / 2);
-                    let mut source = StoreCoalitionSource::new(store, matched.clone());
-                    let _fit = worker.surrogate_hist.start();
-                    let stage_t = trace.start();
-                    let (weights, reuse) = shap.explain_with_counted(
-                        ctx,
-                        clf,
-                        &instance,
-                        self.base,
-                        pooled,
-                        &mut source,
-                        &mut tuple_rng,
-                    );
-                    trace.push_fit(stage_t, reuse.reused, reuse.fresh, reuse.invocations);
-                    (
-                        Explanation::Weights(weights),
-                        reuse.clamped > 0,
-                        reuse.reused,
-                        reuse.fresh,
-                        reuse.invocations,
-                        (0, 0),
-                    )
-                }
-            };
-            let degraded = clamped || shahin_model::degraded_incidents() > incidents0;
-            prov.record(
-                row as u32,
-                epoch,
-                &matched,
-                lookup,
-                reused,
-                fresh,
-                invocations,
-                cache,
-                degraded,
-                t0,
-            );
-            (explanation, degraded)
-        });
-        match outcome {
+        worker.prov.tag(req.request_id, req.trace);
+        let kernel = Kernel {
+            explainer: &self.explainer,
+            ctx: &self.ctx,
+            clf: &self.clf,
+            caches: &self.caches,
+            base: self.base,
+            seed: self.seed,
+        };
+        let codes = state.table.row(req.row);
+        let instance = self.warm.instance(req.row);
+        let tuple = Tuple {
+            row: req.row,
+            codes: &codes,
+            instance: &instance,
+            epoch: self.epoch.load(Ordering::Relaxed),
+        };
+        let store = &state.store;
+        let fetch = |scratch: &mut MatchScratch| {
+            Pool::store(store, store.matching_read_stats(&codes, scratch))
+        };
+        match kernel.explain(tuple, fetch, worker) {
             TupleOutcome::Ok(explanation) => WarmOutcome::Ok {
                 explanation,
                 degraded: false,
@@ -775,87 +604,11 @@ impl<C: Classifier> WarmEngine<C> {
     }
 }
 
-/// What one worker thread carries from request to request on an engine
-/// ([`WarmEngine::worker`]): the obs handles the per-tuple body records
-/// into, resolved once, and the match scratch its store lookups reuse.
-pub struct WarmWorker {
-    retrieve_hist: Histogram,
-    surrogate_hist: Histogram,
-    prov: ProvenanceCtx,
-    quarantine: QuarantineObs,
-    /// Stage spans of the request explained last, if it was traced.
-    stages: Vec<StageSpan>,
-    scratch: MatchScratch,
-}
-
-impl WarmWorker {
-    /// The per-stage spans — `retrieve`, `classify`, `explain`, in that
-    /// order — the last [`WarmEngine::explain_request`] on this context
-    /// recorded; empty when that request carried no trace id. The serve
-    /// worker folds them into the request's span tree.
-    pub fn stages(&self) -> &[StageSpan] {
-        &self.stages
-    }
-}
-
-/// A traced request's stage-span buffer; every method is a no-op for an
-/// untraced one.
-struct StageTrace<'a>(Option<&'a mut Vec<StageSpan>>);
-
-impl StageTrace<'_> {
-    /// The stage's start instant (`None`, and no clock read, when untraced).
-    fn start(&self) -> Option<Instant> {
-        self.0.as_ref().map(|_| Instant::now())
-    }
-
-    /// Records one stage span running from `start` until now.
-    fn push(
-        &mut self,
-        name: &'static str,
-        start: Option<Instant>,
-        fill: impl FnOnce(&mut TraceCounters),
-    ) {
-        if let (Some(stages), Some(start)) = (&mut self.0, start) {
-            let mut span = StageSpan {
-                name,
-                start,
-                dur: start.elapsed(),
-                counters: TraceCounters::default(),
-            };
-            fill(&mut span.counters);
-            stages.push(span);
-        }
-    }
-
-    /// The surrogate explainers' stage spans: a zero-length `classify`
-    /// marker carrying the classifier-invocation attribution, then an
-    /// `explain` span timing the whole surrogate fit (sample top-up +
-    /// regression) with the reuse counters. LIME/SHAP drive the
-    /// classifier from inside the fit, so classify wall time is not
-    /// separable — only Anchor's direct target probe gets a timed
-    /// classify span — but the invocation *count* is exact either way.
-    fn push_fit(&mut self, start: Option<Instant>, reused: u64, fresh: u64, invocations: u64) {
-        if let (Some(stages), Some(start)) = (&mut self.0, start) {
-            let mut classify = StageSpan {
-                name: "classify",
-                start,
-                dur: Duration::ZERO,
-                counters: TraceCounters::default(),
-            };
-            classify.counters.invocations = invocations;
-            stages.push(classify);
-        }
-        self.push("explain", start, |c| {
-            c.samples_reused = reused;
-            c.samples_fresh = fresh;
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shahin_explain::LimeParams;
+    use crate::obs::TraceCounters;
+    use shahin_explain::{LimeExplainer, LimeParams};
     use shahin_model::MajorityClass;
     use shahin_tabular::{train_test_split, DatasetPreset};
 
@@ -885,7 +638,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let eng = WarmEngine::prime(
             cfg,
-            WarmExplainer::Lime(lime()),
+            ExplainerKind::Lime(lime()),
             ctx.clone(),
             clf,
             warm.clone(),
@@ -902,7 +655,8 @@ mod tests {
             n_threads: Some(2),
             ..Default::default()
         })
-        .explain_lime_parallel(&ctx, &clf, &warm, &lime(), 11);
+        .explain(&ctx, &clf, &warm, &ExplainerKind::Lime(lime()), 11, true)
+        .into_weights();
 
         for n_threads in [1usize, 4] {
             let (eng, _, _) = engine(n_threads);
@@ -983,7 +737,7 @@ mod tests {
                     ..Default::default()
                 },
                 // Past what the store pools, so every row calls the classifier.
-                WarmExplainer::Lime(LimeExplainer::new(LimeParams {
+                ExplainerKind::Lime(LimeExplainer::new(LimeParams {
                     n_samples: 400,
                     ..Default::default()
                 })),
@@ -1060,7 +814,7 @@ mod tests {
         reg.attach_provenance_sink(Arc::clone(&sink));
         let eng = WarmEngine::prime(
             BatchConfig::default(),
-            WarmExplainer::Lime(lime()),
+            ExplainerKind::Lime(lime()),
             ctx,
             clf,
             warm,
@@ -1162,7 +916,7 @@ mod tests {
                 n_threads: Some(2),
                 ..Default::default()
             },
-            WarmExplainer::Lime(lime()),
+            ExplainerKind::Lime(lime()),
             ctx.clone(),
             clf,
             warm.clone(),
@@ -1184,7 +938,7 @@ mod tests {
                     n_threads: Some(n_threads),
                     ..Default::default()
                 },
-                WarmExplainer::Lime(lime()),
+                ExplainerKind::Lime(lime()),
                 ctx.clone(),
                 fresh_clf,
                 warm.clone(),
@@ -1223,7 +977,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let donor = WarmEngine::prime(
             BatchConfig::default(),
-            WarmExplainer::Lime(lime()),
+            ExplainerKind::Lime(lime()),
             ctx.clone(),
             clf,
             warm.clone(),
@@ -1234,7 +988,7 @@ mod tests {
         let hydrate = |damaged: &[u8], seed: u64| {
             WarmEngine::prime_from_snapshot(
                 BatchConfig::default(),
-                WarmExplainer::Lime(lime()),
+                ExplainerKind::Lime(lime()),
                 ctx.clone(),
                 CountingClassifier::new(MajorityClass::fit(&[1])),
                 warm.clone(),
@@ -1279,7 +1033,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let donor = WarmEngine::prime(
             BatchConfig::default(),
-            WarmExplainer::Lime(lime()),
+            ExplainerKind::Lime(lime()),
             ctx.clone(),
             clf,
             warm.clone(),
@@ -1294,7 +1048,7 @@ mod tests {
         assert_eq!(on_disk, donor.snapshot_bytes());
         let eng = WarmEngine::prime_from_snapshot(
             BatchConfig::default(),
-            WarmExplainer::Lime(lime()),
+            ExplainerKind::Lime(lime()),
             ctx,
             CountingClassifier::new(MajorityClass::fit(&[1])),
             warm,
@@ -1343,7 +1097,7 @@ mod tests {
                 n_threads: Some(1),
                 ..Default::default()
             },
-            WarmExplainer::Lime(lime()),
+            ExplainerKind::Lime(lime()),
             ctx,
             CountingClassifier::new(Arc::clone(&trap)),
             warm.clone(),

@@ -37,14 +37,14 @@
 //! cluster, keeping every frame schema byte-compatible.
 //!
 //! Served explanations are bit-identical to the offline
-//! `ShahinBatch::explain_*_parallel` drivers for the same seed and warm
-//! set — see the determinism notes on [`shahin::WarmEngine`].
+//! `Method::BatchParallel` driver for the same seed and warm set — see
+//! the determinism notes on [`shahin::WarmEngine`].
 //!
 //! # Quick start
 //!
 //! ```no_run
 //! use std::sync::Arc;
-//! use shahin::{BatchConfig, MetricsRegistry, WarmEngine, WarmExplainer};
+//! use shahin::{BatchConfig, ExplainerKind, MetricsRegistry, WarmEngine};
 //! use shahin_serve::{ServeConfig, Server};
 //! # let (ctx, clf, warm): (shahin_explain::ExplainContext,
 //! #     shahin_model::CountingClassifier<shahin_model::MajorityClass>,
@@ -53,7 +53,7 @@
 //! let reg = MetricsRegistry::new();
 //! let engine = Arc::new(WarmEngine::prime(
 //!     BatchConfig::default(),
-//!     WarmExplainer::Lime(Default::default()),
+//!     ExplainerKind::Lime(Default::default()),
 //!     ctx, clf, warm, 7, &reg,
 //! ));
 //! let handle = Server::start(engine, ServeConfig::default()).unwrap();

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shahin::obs::names;
-use shahin::{BatchConfig, MetricsRegistry, WarmEngine, WarmExplainer};
+use shahin::{BatchConfig, ExplainerKind, MetricsRegistry, WarmEngine};
 use shahin_explain::{ExplainContext, LimeExplainer, LimeParams};
 use shahin_model::{Classifier, CountingClassifier, LatencyCost, MajorityClass};
 use shahin_obs::json::Json;
@@ -67,7 +67,7 @@ fn tenant(
             }
             WarmEngine::prime_warm_or_cold(
                 BatchConfig::default(),
-                WarmExplainer::Lime(LimeExplainer::new(LimeParams {
+                ExplainerKind::Lime(LimeExplainer::new(LimeParams {
                     n_samples,
                     ..Default::default()
                 })),

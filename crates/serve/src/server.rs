@@ -53,7 +53,7 @@ use shahin::obs::names;
 use shahin::obs::{Counter, Gauge, Histogram, ValueHistogram};
 use shahin::{
     MetricsRegistry, RequestTrace, StageSpan, TraceContext, TraceCounters, TraceSpan, TraceStore,
-    TraceStoreConfig, WarmEngine, WarmOutcome, WarmRequest, WarmWorker,
+    TraceStoreConfig, TupleWorker, WarmEngine, WarmOutcome, WarmRequest,
 };
 use shahin_model::Classifier;
 use shahin_tenancy::{ColdStart, Lifecycle, TenantRegistry, WarmSlot};
@@ -782,7 +782,7 @@ struct Handled<'a> {
     /// Wall time of the tenant's cold start, on the one request whose
     /// worker ran it: a `coldstart` stage from `picked`.
     coldstart: Option<Duration>,
-    /// The engine's stage spans ([`WarmWorker::stages`]).
+    /// The engine's stage spans ([`TupleWorker::stages`]).
     stages: &'a [StageSpan],
     quarantined: bool,
     degraded: bool,
@@ -930,12 +930,12 @@ impl<C: Classifier> Shared<C> {
 /// a tenant re-materialized after an eviction is a new engine and gets a
 /// new context. The `Weak` pins the old allocation, so its address
 /// cannot be reused meanwhile.
-type EngineContext<C> = Option<(Weak<WarmEngine<C>>, WarmWorker)>;
+type EngineContext<C> = Option<(Weak<WarmEngine<C>>, TupleWorker)>;
 
 fn context_on<'a, C: Classifier>(
     cached: &'a mut EngineContext<C>,
     engine: &Arc<WarmEngine<C>>,
-) -> &'a mut WarmWorker {
+) -> &'a mut TupleWorker {
     if !cached
         .as_ref()
         .is_some_and(|(of, _)| std::ptr::eq(of.as_ptr(), Arc::as_ptr(engine)))

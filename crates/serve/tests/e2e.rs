@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shahin::obs::names;
-use shahin::{BatchConfig, MetricsRegistry, ShahinBatch, WarmEngine, WarmExplainer};
+use shahin::{run, BatchConfig, ExplainerKind, Method, MetricsRegistry, WarmEngine};
 use shahin_explain::{ExplainContext, FeatureWeights, LimeExplainer, LimeParams};
 use shahin_model::{CountingClassifier, MajorityClass};
 use shahin_obs::json::Json;
@@ -46,7 +46,7 @@ fn start_server(n_workers: usize) -> (ServerHandle<MajorityClass>, MetricsRegist
             n_threads: Some(n_workers),
             ..Default::default()
         },
-        WarmExplainer::Lime(lime()),
+        ExplainerKind::Lime(lime()),
         ctx,
         clf,
         warm,
@@ -113,11 +113,16 @@ fn weights_of(frame: &Json) -> FeatureWeights {
 #[test]
 fn warm_server_matches_offline_batch_parallel_at_1_and_4_workers() {
     let (ctx, clf, warm) = setup();
-    let offline = ShahinBatch::new(BatchConfig {
+    let method = Method::BatchParallel(BatchConfig {
         n_threads: Some(2),
         ..Default::default()
-    })
-    .explain_lime_parallel(&ctx, &clf, &warm, &lime(), SEED);
+    });
+    let kind = ExplainerKind::Lime(lime());
+    let offline: Vec<FeatureWeights> = run(&method, &kind, &ctx, &clf, &warm, SEED)
+        .explanations
+        .iter()
+        .map(|e| e.weights().unwrap().clone())
+        .collect();
 
     for n_workers in [1usize, 4] {
         let (handle, _reg, n_rows) = start_server(n_workers);
@@ -135,7 +140,7 @@ fn warm_server_matches_offline_batch_parallel_at_1_and_4_workers() {
             assert_eq!(frame.get("row").unwrap().as_u64(), Some(row as u64));
             let served = weights_of(&frame);
             assert_eq!(
-                &served, &offline.explanations[row],
+                &served, &offline[row],
                 "row {row} must be bit-identical to offline at {n_workers} workers"
             );
         }
@@ -353,7 +358,7 @@ fn explains_arriving_mid_drain_are_rejected_with_503() {
         // A sample budget far beyond what the warm store can pool, so
         // explaining row 0 must generate fresh samples — and block on
         // the frozen classifier.
-        WarmExplainer::Lime(LimeExplainer::new(LimeParams {
+        ExplainerKind::Lime(LimeExplainer::new(LimeParams {
             n_samples: 400,
             ..Default::default()
         })),
@@ -637,7 +642,7 @@ fn slow_request_trace_round_trips_with_nested_spans() {
             n_threads: Some(1),
             ..Default::default()
         },
-        WarmExplainer::Lime(LimeExplainer::new(LimeParams {
+        ExplainerKind::Lime(LimeExplainer::new(LimeParams {
             n_samples: 400,
             ..Default::default()
         })),
@@ -761,7 +766,7 @@ fn tail_sampling_retains_every_quarantined_trace_and_samples_the_rest() {
             n_threads: Some(2),
             ..Default::default()
         },
-        WarmExplainer::Lime(lime()),
+        ExplainerKind::Lime(lime()),
         ctx,
         CountingClassifier::new(clf),
         warm,
@@ -924,7 +929,7 @@ fn snapshot_frame_persists_warm_state_and_a_restart_serves_it_bit_identically() 
     let reg = MetricsRegistry::new();
     let engine = Arc::new(WarmEngine::prime(
         BatchConfig::default(),
-        WarmExplainer::Lime(lime()),
+        ExplainerKind::Lime(lime()),
         ctx,
         clf,
         warm,
@@ -985,7 +990,7 @@ fn snapshot_frame_persists_warm_state_and_a_restart_serves_it_bit_identically() 
     let reg2 = MetricsRegistry::new();
     let replica = WarmEngine::prime_from_snapshot(
         BatchConfig::default(),
-        WarmExplainer::Lime(lime()),
+        ExplainerKind::Lime(lime()),
         ctx,
         clf,
         warm,
@@ -1037,7 +1042,7 @@ fn sigusr1_triggers_an_on_demand_snapshot() {
     let reg = MetricsRegistry::new();
     let engine = Arc::new(WarmEngine::prime(
         BatchConfig::default(),
-        WarmExplainer::Lime(lime()),
+        ExplainerKind::Lime(lime()),
         ctx,
         clf,
         warm,

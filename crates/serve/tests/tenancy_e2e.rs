@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shahin::obs::names;
-use shahin::{BatchConfig, MetricsRegistry, ShahinBatch, WarmEngine, WarmExplainer};
+use shahin::{run, BatchConfig, ExplainerKind, Method, MetricsRegistry, WarmEngine};
 use shahin_explain::{ExplainContext, FeatureWeights, LimeExplainer, LimeParams};
 use shahin_model::{CountingClassifier, MajorityClass};
 use shahin_obs::json::Json;
@@ -72,7 +72,7 @@ fn tenant_config(
                     n_threads: Some(n_workers),
                     ..Default::default()
                 },
-                WarmExplainer::Lime(lime()),
+                ExplainerKind::Lime(lime()),
                 ctx.clone(),
                 CountingClassifier::new(inner.clone()),
                 warm.clone(),
@@ -437,12 +437,16 @@ fn each_tenant_serves_bit_identical_to_its_offline_batch_parallel() {
         .iter()
         .map(|(_, preset)| {
             let (ctx, inner, warm) = tenant_parts(*preset);
-            ShahinBatch::new(BatchConfig {
+            let method = Method::BatchParallel(BatchConfig {
                 n_threads: Some(2),
                 ..Default::default()
-            })
-            .explain_lime_parallel(&ctx, &CountingClassifier::new(inner), &warm, &lime(), SEED)
-            .explanations
+            });
+            let clf = CountingClassifier::new(inner);
+            run(&method, &ExplainerKind::Lime(lime()), &ctx, &clf, &warm, SEED)
+                .explanations
+                .iter()
+                .map(|e| e.weights().unwrap().clone())
+                .collect()
         })
         .collect();
 

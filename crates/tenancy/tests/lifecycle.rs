@@ -9,7 +9,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shahin::obs::names;
-use shahin::{BatchConfig, MetricsRegistry, WarmEngine, WarmExplainer, WarmOutcome, WarmRequest};
+use shahin::{BatchConfig, ExplainerKind, MetricsRegistry, WarmEngine, WarmOutcome, WarmRequest};
 use shahin_explain::{ExplainContext, FeatureWeights, LimeExplainer, LimeParams};
 use shahin_model::{CountingClassifier, MajorityClass};
 use shahin_tabular::{train_test_split, Dataset, DatasetPreset};
@@ -59,7 +59,7 @@ fn tenant_config(
                     n_threads: Some(2),
                     ..Default::default()
                 },
-                WarmExplainer::Lime(lime()),
+                ExplainerKind::Lime(lime()),
                 ctx.clone(),
                 // A fresh counting wrapper per materialization, so each
                 // engine's invocation count is its own.
@@ -253,7 +253,7 @@ fn single_tenant_wrapper_never_evicts_and_stays_unlabeled() {
             n_threads: Some(1),
             ..Default::default()
         },
-        WarmExplainer::Lime(lime()),
+        ExplainerKind::Lime(lime()),
         ctx,
         clf,
         warm,

@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use shahin::{BatchConfig, MetricsRegistry, WarmEngine, WarmExplainer, WarmOutcome, WarmRequest};
+use shahin::{BatchConfig, ExplainerKind, MetricsRegistry, WarmEngine, WarmOutcome, WarmRequest};
 use shahin_explain::{ExplainContext, FeatureWeights, LimeExplainer, LimeParams};
 use shahin_model::{CountingClassifier, MajorityClass};
 use shahin_tabular::{train_test_split, DatasetPreset};
@@ -41,7 +41,7 @@ fn fixture() -> &'static Fixture {
                 n_threads: Some(2),
                 ..Default::default()
             },
-            WarmExplainer::Lime(LimeExplainer::new(LimeParams {
+            ExplainerKind::Lime(LimeExplainer::new(LimeParams {
                 n_samples: 40,
                 ..Default::default()
             })),

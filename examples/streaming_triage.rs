@@ -52,7 +52,7 @@ fn main() {
         refresh_every: 100,
         ..Default::default()
     });
-    let opt = streaming.explain_shap(&ctx, &clf, &stream, &shap, 64, seed);
+    let opt = streaming.explain_shap(&ctx, &clf, &stream, &shap, seed);
 
     println!(
         "stream of {} requests (SHAP, lending-club shape)\n",

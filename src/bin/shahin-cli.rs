@@ -775,7 +775,7 @@ fn serve_tail<C: Classifier + 'static>(
 /// from the CSV's test split, and blocks until a graceful drain. With
 /// `--manifest`, serves a whole tenant cluster instead.
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
-    use shahin::{WarmEngine, WarmExplainer};
+    use shahin::WarmEngine;
     use shahin_serve::Server;
     use std::sync::Arc;
     use std::time::Duration;
@@ -840,9 +840,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let warm = split.test.select(&(0..n).collect::<Vec<_>>());
 
     let explainer = match get_or(flags, "explainer", "lime") {
-        "lime" => WarmExplainer::Lime(LimeExplainer::default()),
-        "anchor" => WarmExplainer::Anchor(AnchorExplainer::default()),
-        "shap" => WarmExplainer::Shap(KernelShapExplainer::default()),
+        "lime" => ExplainerKind::Lime(LimeExplainer::default()),
+        "anchor" => ExplainerKind::Anchor(AnchorExplainer::default()),
+        "shap" => ExplainerKind::Shap(KernelShapExplainer::default()),
         other => return Err(format!("unknown explainer '{other}'")),
     };
 
@@ -943,7 +943,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
 /// misconfiguration fails before the listener binds; only the warm
 /// repositories are lazy.
 fn cmd_serve_manifest(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
-    use shahin::{WarmEngine, WarmExplainer};
+    use shahin::WarmEngine;
     use shahin_serve::Server;
     use shahin_tenancy::{
         EngineFactory, LifecyclePolicy, TenantConfig, TenantManifest, TenantRegistry,
@@ -1021,9 +1021,9 @@ fn cmd_serve_manifest(flags: &HashMap<String, String>) -> Result<ExitCode, Strin
         let n = spec.warm_rows.min(split.test.n_rows());
         let warm = split.test.select(&(0..n).collect::<Vec<_>>());
         let explainer = match spec.explainer.as_str() {
-            "anchor" => WarmExplainer::Anchor(AnchorExplainer::default()),
-            "shap" => WarmExplainer::Shap(KernelShapExplainer::default()),
-            _ => WarmExplainer::Lime(LimeExplainer::default()),
+            "anchor" => ExplainerKind::Anchor(AnchorExplainer::default()),
+            "shap" => ExplainerKind::Shap(KernelShapExplainer::default()),
+            _ => ExplainerKind::Lime(LimeExplainer::default()),
         };
         let batch_config = BatchConfig {
             n_threads: spec.threads,

@@ -12,7 +12,8 @@ use shahin::{
     ShahinBatch,
 };
 use shahin_explain::{
-    local_fidelity, ExplainContext, KernelShapExplainer, LimeExplainer, LimeParams, ShapParams,
+    local_fidelity, ExplainContext, FeatureWeights, KernelShapExplainer, LimeExplainer, LimeParams,
+    ShapParams,
 };
 use shahin_model::{CountingClassifier, GbmParams, GradientBoosting};
 use shahin_tabular::{read_csv, train_test_split, Dataset, DatasetPreset};
@@ -160,19 +161,22 @@ fn reuse_does_not_degrade_local_fidelity() {
 #[test]
 fn parallel_batch_equals_serial_reference() {
     let (ctx, clf, batch) = gbm_world(5);
-    let shap = KernelShapExplainer::new(ShapParams {
+    let shap = ExplainerKind::Shap(KernelShapExplainer::new(ShapParams {
         n_samples: 64,
         ..Default::default()
-    });
-    let with_threads = |n: usize| {
-        ShahinBatch::new(BatchConfig {
+    }));
+    let with_threads = |n: usize| -> Vec<FeatureWeights> {
+        let method = Method::BatchParallel(BatchConfig {
             n_threads: Some(n),
             ..Default::default()
-        })
+        });
+        run(&method, &shap, &ctx, &clf, &batch, 13)
+            .explanations
+            .iter()
+            .map(|e| e.weights().expect("weights").clone())
+            .collect()
     };
-    let par1 = with_threads(1).explain_shap_parallel(&ctx, &clf, &batch, &shap, 20, 13);
-    let par4 = with_threads(4).explain_shap_parallel(&ctx, &clf, &batch, &shap, 20, 13);
-    assert_eq!(par1.explanations, par4.explanations);
+    assert_eq!(with_threads(1), with_threads(4));
 }
 
 #[test]

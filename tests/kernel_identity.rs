@@ -1,0 +1,268 @@
+//! Every Shahin driver explains a tuple through one per-tuple kernel, so
+//! the drivers may differ only in how they schedule rows and fetch the
+//! store — never in what a tuple's explanation, invocation bill or
+//! lineage is. On a small Census batch this pins:
+//!
+//! * LIME and SHAP: `Method::Batch`, `Method::BatchParallel` at 1/2/4
+//!   threads and `WarmEngine::explain` over the same rows give equal
+//!   explanations, invocation totals and provenance records;
+//! * Anchor: `Batch` equals `BatchParallel` at one thread (more threads
+//!   race on the shared caches);
+//! * two seeded `Streaming` runs are equal;
+//! * every (driver × explainer) invocation total, as an exact integer.
+
+use std::sync::Arc;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use shahin::{
+    run_with_obs, BatchConfig, ExplainerKind, Explanation, Method, MetricsRegistry,
+    ProvenanceRecord, ProvenanceSink, RunReport, StreamingConfig, WarmEngine, WarmOutcome,
+    WarmRequest,
+};
+use shahin_explain::{
+    AnchorExplainer, AnchorParams, ExplainContext, KernelShapExplainer, LimeExplainer, LimeParams,
+    ShapParams,
+};
+use shahin_model::{CountingClassifier, ForestParams, RandomForest};
+use shahin_tabular::{train_test_split, Dataset, DatasetPreset};
+
+const SEED: u64 = 17;
+const ROWS: usize = 40;
+
+struct World {
+    ctx: ExplainContext,
+    forest: RandomForest,
+    batch: Dataset,
+}
+
+fn world() -> World {
+    let (data, labels) = DatasetPreset::CensusIncome.spec(0.03).generate(SEED);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let split = train_test_split(&data, &labels, 1.0 / 3.0, &mut rng);
+    let params = ForestParams {
+        n_trees: 5,
+        ..Default::default()
+    };
+    let forest = RandomForest::fit(&split.train, &split.train_labels, &params, &mut rng);
+    let ctx = ExplainContext::fit(&split.train, 300, &mut rng);
+    let rows: Vec<usize> = (0..ROWS.min(split.test.n_rows())).collect();
+    World {
+        ctx,
+        forest,
+        batch: split.test.select(&rows),
+    }
+}
+
+fn lime() -> ExplainerKind {
+    ExplainerKind::Lime(LimeExplainer::new(LimeParams {
+        n_samples: 100,
+        ..Default::default()
+    }))
+}
+
+fn shap() -> ExplainerKind {
+    ExplainerKind::Shap(KernelShapExplainer::new(ShapParams {
+        n_samples: 64,
+        ..Default::default()
+    }))
+}
+
+fn anchor() -> ExplainerKind {
+    ExplainerKind::Anchor(AnchorExplainer::new(AnchorParams {
+        beam_width: 2,
+        max_rule_len: 2,
+        ..Default::default()
+    }))
+}
+
+fn config(n_threads: usize) -> BatchConfig {
+    BatchConfig {
+        n_threads: Some(n_threads),
+        tau: 40,
+        ..Default::default()
+    }
+}
+
+/// Everything a provenance record says about a tuple except who wrote
+/// it and when (method label, thread, wall time, serve request id).
+type Lineage = (u32, u64, Vec<u32>, [u64; 8], bool);
+
+fn lineage(records: Vec<ProvenanceRecord>) -> Vec<Lineage> {
+    records
+        .into_iter()
+        .map(|r| {
+            (
+                r.tuple,
+                r.epoch,
+                r.matched_itemsets,
+                [
+                    r.store_misses,
+                    r.samples_available,
+                    r.samples_reused,
+                    r.samples_fresh,
+                    r.tau,
+                    r.invocations,
+                    r.cache_hits,
+                    r.cache_misses,
+                ],
+                r.degraded,
+            )
+        })
+        .collect()
+}
+
+/// One driver run: its report and its provenance lineage.
+fn driver(w: &World, method: &Method, kind: &ExplainerKind) -> (RunReport, Vec<Lineage>) {
+    let reg = MetricsRegistry::new();
+    let sink = Arc::new(ProvenanceSink::new());
+    reg.attach_provenance_sink(Arc::clone(&sink));
+    let clf = CountingClassifier::new(w.forest.clone());
+    let report = run_with_obs(method, kind, &w.ctx, &clf, &w.batch, SEED, &reg);
+    assert!(
+        report.report.is_clean(),
+        "{}: {}",
+        method.name(),
+        report.report.summary()
+    );
+    (report, lineage(sink.records()))
+}
+
+/// The warm engine primed over the batch and asked for every row: its
+/// explanations, total invocations (prime + explain) and lineage.
+fn warm(
+    w: &World,
+    kind: &ExplainerKind,
+    n_threads: usize,
+) -> (Vec<Explanation>, u64, Vec<Lineage>) {
+    let reg = MetricsRegistry::new();
+    let sink = Arc::new(ProvenanceSink::new());
+    reg.attach_provenance_sink(Arc::clone(&sink));
+    let engine = WarmEngine::prime(
+        config(n_threads),
+        kind.clone(),
+        w.ctx.clone(),
+        CountingClassifier::new(w.forest.clone()),
+        w.batch.clone(),
+        SEED,
+        &reg,
+    );
+    let requests: Vec<WarmRequest> = (0..w.batch.n_rows())
+        .map(|row| WarmRequest {
+            row,
+            request_id: row as u64,
+            trace: None,
+        })
+        .collect();
+    let explanations = engine
+        .explain(&requests)
+        .into_iter()
+        .map(|out| match out {
+            WarmOutcome::Ok { explanation, .. } => explanation,
+            WarmOutcome::Failed(f) => panic!("warm row {} failed: {}", f.row, f.message),
+        })
+        .collect();
+    (explanations, engine.invocations(), lineage(sink.records()))
+}
+
+fn weights(explanations: &[Explanation]) -> Vec<&shahin_explain::FeatureWeights> {
+    explanations.iter().map(|e| e.weights().unwrap()).collect()
+}
+
+fn rules(explanations: &[Explanation]) -> Vec<&shahin_explain::AnchorExplanation> {
+    explanations.iter().map(|e| e.rule().unwrap()).collect()
+}
+
+/// Invocation totals measured before the drivers shared one kernel; the
+/// merge must not move any of them. The batch-shaped drivers and the warm
+/// engine run the same preparation and per-tuple work, so they share one
+/// total per explainer.
+mod pinned {
+    pub const LIME_BATCH: u64 = 754;
+    pub const LIME_STREAMING: u64 = 1_544;
+    pub const SHAP_BATCH: u64 = 1_669;
+    pub const SHAP_STREAMING: u64 = 1_804;
+    pub const ANCHOR_BATCH: u64 = 57_192;
+    pub const ANCHOR_STREAMING: u64 = 63_602;
+}
+
+/// LIME / SHAP: every batch-shaped driver is the same computation.
+fn attribution_identity(kind: ExplainerKind, total: u64) {
+    let w = world();
+    let (serial, serial_lineage) = driver(&w, &Method::Batch(config(1)), &kind);
+    assert_eq!(serial.metrics.invocations, total, "{} Batch", kind.name());
+    for n in [1, 2, 4] {
+        let method = Method::BatchParallel(config(n));
+        let (par, par_lineage) = driver(&w, &method, &kind);
+        let what = format!("{} {}", kind.name(), method.name());
+        assert_eq!(
+            weights(&par.explanations),
+            weights(&serial.explanations),
+            "{what}"
+        );
+        assert_eq!(par.metrics.invocations, total, "{what}");
+        assert_eq!(par_lineage, serial_lineage, "{what}");
+    }
+    for n in [1, 4] {
+        let (served, invocations, served_lineage) = warm(&w, &kind, n);
+        let what = format!("{} warm engine at {n} threads", kind.name());
+        assert_eq!(weights(&served), weights(&serial.explanations), "{what}");
+        assert_eq!(invocations, total, "{what}");
+        assert_eq!(served_lineage, serial_lineage, "{what}");
+    }
+}
+
+#[test]
+fn lime_is_one_computation_under_every_batch_driver() {
+    attribution_identity(lime(), pinned::LIME_BATCH);
+}
+
+#[test]
+fn shap_is_one_computation_under_every_batch_driver() {
+    attribution_identity(shap(), pinned::SHAP_BATCH);
+}
+
+#[test]
+fn anchor_batch_equals_batch_parallel_at_one_thread() {
+    let w = world();
+    let kind = anchor();
+    let (serial, serial_lineage) = driver(&w, &Method::Batch(config(1)), &kind);
+    let (par, par_lineage) = driver(&w, &Method::BatchParallel(config(1)), &kind);
+    assert_eq!(rules(&par.explanations), rules(&serial.explanations));
+    assert_eq!(serial.metrics.invocations, pinned::ANCHOR_BATCH);
+    assert_eq!(par.metrics.invocations, pinned::ANCHOR_BATCH);
+    assert_eq!(par_lineage, serial_lineage);
+    let (served, invocations, served_lineage) = warm(&w, &kind, 1);
+    assert_eq!(rules(&served), rules(&serial.explanations));
+    assert_eq!(invocations, pinned::ANCHOR_BATCH);
+    assert_eq!(served_lineage, serial_lineage);
+}
+
+#[test]
+fn seeded_streaming_runs_repeat_with_pinned_bills() {
+    let w = world();
+    let method = Method::Streaming(StreamingConfig {
+        refresh_every: 15,
+        tau: 30,
+        ..Default::default()
+    });
+    for (kind, total) in [
+        (lime(), pinned::LIME_STREAMING),
+        (shap(), pinned::SHAP_STREAMING),
+        (anchor(), pinned::ANCHOR_STREAMING),
+    ] {
+        let (a, a_lineage) = driver(&w, &method, &kind);
+        let (b, b_lineage) = driver(&w, &method, &kind);
+        let name = kind.name();
+        match kind {
+            ExplainerKind::Anchor(_) => {
+                assert_eq!(rules(&a.explanations), rules(&b.explanations), "{name}")
+            }
+            _ => assert_eq!(weights(&a.explanations), weights(&b.explanations), "{name}"),
+        }
+        assert_eq!(a_lineage, b_lineage, "{name}");
+        assert_eq!(a.metrics.invocations, total, "{name} Streaming");
+        assert_eq!(b.metrics.invocations, total, "{name} Streaming");
+    }
+}

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use shahin::fault::{corrupt, Corruption};
-use shahin::{BatchConfig, MetricsRegistry, SnapshotError, WarmEngine, WarmExplainer};
+use shahin::{BatchConfig, ExplainerKind, MetricsRegistry, SnapshotError, WarmEngine};
 use shahin_explain::{ExplainContext, LimeExplainer, LimeParams};
 use shahin_model::{CountingClassifier, MajorityClass};
 use shahin_tabular::{train_test_split, Dataset, DatasetPreset};
@@ -30,8 +30,8 @@ fn setup() -> (ExplainContext, CountingClassifier<MajorityClass>, Dataset) {
     (ctx, clf, split.test.select(&rows))
 }
 
-fn explainer() -> WarmExplainer {
-    WarmExplainer::Lime(LimeExplainer::new(LimeParams {
+fn explainer() -> ExplainerKind {
+    ExplainerKind::Lime(LimeExplainer::new(LimeParams {
         n_samples: 40,
         ..Default::default()
     }))

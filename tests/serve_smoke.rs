@@ -13,7 +13,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shahin::obs::names;
-use shahin::{BatchConfig, MetricsRegistry, WarmEngine, WarmExplainer, WarmOutcome, WarmRequest};
+use shahin::{BatchConfig, ExplainerKind, MetricsRegistry, WarmEngine, WarmOutcome, WarmRequest};
 use shahin_explain::{ExplainContext, LimeExplainer, LimeParams};
 use shahin_model::{CountingClassifier, MajorityClass};
 use shahin_obs::json::Json;
@@ -38,7 +38,7 @@ fn pipelined_requests_are_served_byte_identically_and_drain_cleanly() {
             n_threads: Some(2),
             ..Default::default()
         },
-        WarmExplainer::Lime(LimeExplainer::new(LimeParams {
+        ExplainerKind::Lime(LimeExplainer::new(LimeParams {
             n_samples: 60,
             ..Default::default()
         })),
