@@ -156,6 +156,11 @@ fn bench_forest(c: &mut Criterion) {
     c.bench_function("model/rf_predict", |b| {
         b.iter(|| forest.predict_proba(&inst))
     });
+    // One Anchor-draw-sized flat dispatch: 16 rows in one row-major buffer.
+    let chunk: Vec<_> = (0..16).flat_map(|r| data.instance(r)).collect();
+    c.bench_function("model/rf_predict_chunk16", |b| {
+        b.iter(|| forest.predict_proba_flat(&chunk, data.n_attrs()))
+    });
     // The same forest under both layouts, single row and a small batch:
     // the flat CSR arena vs the nested per-tree `Vec<Node>` arenas.
     let nested = forest.clone().with_layout(ForestLayout::Nested);

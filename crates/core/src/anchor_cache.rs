@@ -31,10 +31,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use shahin_explain::anchor::{rule_coverage, RuleSampler};
-use shahin_explain::{labeled_perturbation, ExplainContext};
+use shahin_explain::{draw_rule_labels, ExplainContext};
 use shahin_fim::Itemset;
 use shahin_model::Classifier;
 use shahin_obs::{Counter, MetricsRegistry};
+use shahin_tabular::Feature;
 
 use crate::obs::names;
 use crate::snapshot::{Dec, Enc, SnapshotError};
@@ -275,6 +276,8 @@ pub struct CachingRuleSampler<'a, C> {
     matched: &'a [u32],
     caches: &'a SharedAnchorCaches,
     rng: StdRng,
+    /// Feature rows of the current draw, reused from draw to draw.
+    rows: Vec<Feature>,
     stats: SamplerStats,
 }
 
@@ -296,6 +299,7 @@ impl<'a, C: Classifier> CachingRuleSampler<'a, C> {
             matched,
             caches,
             rng: StdRng::seed_from_u64(seed),
+            rows: Vec::new(),
             stats: SamplerStats::default(),
         }
     }
@@ -332,11 +336,7 @@ impl<'a, C: Classifier> CachingRuleSampler<'a, C> {
 impl<C: Classifier> RuleSampler for CachingRuleSampler<'_, C> {
     fn draw(&mut self, rule: &Itemset, k: usize) -> (u64, u64) {
         self.stats.fresh += k as u64;
-        let mut pos = 0u64;
-        for _ in 0..k {
-            let s = labeled_perturbation(self.ctx, self.clf, rule, &mut self.rng);
-            pos += u64::from(s.proba >= 0.5);
-        }
+        let (_, pos) = draw_rule_labels(self.ctx, self.clf, rule, k, &mut self.rng, &mut self.rows);
         // Fresh draws are invariant evidence: fold them into the shared
         // cache so later tuples (on any thread) start ahead (Algorithm 2
         // line 12).

@@ -1,5 +1,6 @@
 //! The paper's baseline approaches: Sequential, Dist-k, and GREEDY (§4.1).
 
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -8,7 +9,7 @@ use rand::SeedableRng;
 
 use shahin_explain::anchor::RuleSampler;
 use shahin_explain::{
-    estimate_base_value, labeled_perturbation, AnchorExplainer, AnchorExplanation, ExplainContext,
+    draw_rule_labels, estimate_base_value, AnchorExplainer, AnchorExplanation, ExplainContext,
     FeatureWeights, KernelShapExplainer, LabeledSample, LimeExplainer, NoSource,
 };
 use shahin_fim::Itemset;
@@ -280,6 +281,23 @@ impl<C: Classifier> Classifier for RecordingClassifier<'_, C> {
         }
         proba
     }
+
+    /// One dispatch to the inner classifier, then the rows are recorded in
+    /// row order: the same log as one call per row.
+    fn predict_proba_flat(&self, rows: &[Feature], n_attrs: usize) -> Vec<f64> {
+        let probas = self.inner.predict_proba_flat(rows, n_attrs);
+        if let (Some(log), true) = (&self.log, n_attrs > 0) {
+            let mut log = log.lock();
+            for (row, &proba) in rows.chunks_exact(n_attrs).zip(&probas) {
+                let codes = self.ctx.discretizer().encode_instance(row);
+                log.push(LabeledSample {
+                    codes: codes.into_boxed_slice(),
+                    proba,
+                });
+            }
+        }
+        probas
+    }
 }
 
 /// The GREEDY baseline: an LRU perturbation cache with no planning. Stores
@@ -417,19 +435,14 @@ impl Greedy {
         let start_inv = clf.invocations();
         let wall0 = Instant::now();
         let table = ctx.discretizer().encode_dataset(batch);
-        let mut counts: std::collections::HashMap<Itemset, (u64, u64)> =
-            std::collections::HashMap::new();
+        let mut counts = HashMap::new();
         let mut explanations = Vec::with_capacity(batch.n_rows());
         for row in 0..batch.n_rows() {
             let instance = batch.instance(row);
             let target = clf.predict(&instance);
             let codes = table.row(row);
-            let mut sampler = GreedyRuleSampler {
-                ctx,
-                clf,
-                counts: &mut counts,
-                rng: StdRng::seed_from_u64(per_tuple_seed(seed, row)),
-            };
+            let mut sampler =
+                GreedyRuleSampler::new(ctx, clf, &mut counts, per_tuple_seed(seed, row));
             explanations.push(anchor.explain_with_sampler(&codes, target, &mut sampler));
         }
         BatchResult {
@@ -445,21 +458,37 @@ impl Greedy {
     }
 }
 
-/// Greedy Anchor sampler: exact-rule count reuse only.
-struct GreedyRuleSampler<'a, C> {
+/// Greedy Anchor sampler: exact-rule count reuse only. `counts` carries
+/// each rule's `(n, positive)` from tuple to tuple.
+pub struct GreedyRuleSampler<'a, C> {
     ctx: &'a ExplainContext,
     clf: &'a C,
-    counts: &'a mut std::collections::HashMap<Itemset, (u64, u64)>,
+    counts: &'a mut HashMap<Itemset, (u64, u64)>,
     rng: StdRng,
+    rows: Vec<Feature>,
+}
+
+impl<'a, C: Classifier> GreedyRuleSampler<'a, C> {
+    /// Creates a sampler for one tuple with its own deterministic RNG.
+    pub fn new(
+        ctx: &'a ExplainContext,
+        clf: &'a C,
+        counts: &'a mut HashMap<Itemset, (u64, u64)>,
+        seed: u64,
+    ) -> Self {
+        GreedyRuleSampler {
+            ctx,
+            clf,
+            counts,
+            rng: StdRng::seed_from_u64(seed),
+            rows: Vec::new(),
+        }
+    }
 }
 
 impl<C: Classifier> RuleSampler for GreedyRuleSampler<'_, C> {
     fn draw(&mut self, rule: &Itemset, k: usize) -> (u64, u64) {
-        let mut pos = 0u64;
-        for _ in 0..k {
-            let s = labeled_perturbation(self.ctx, self.clf, rule, &mut self.rng);
-            pos += u64::from(s.proba >= 0.5);
-        }
+        let (_, pos) = draw_rule_labels(self.ctx, self.clf, rule, k, &mut self.rng, &mut self.rows);
         let e = self.counts.entry(rule.clone()).or_insert((0, 0));
         e.0 += k as u64;
         e.1 += pos;

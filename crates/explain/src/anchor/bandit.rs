@@ -46,13 +46,23 @@ pub fn kl_bernoulli(p: f64, q: f64) -> f64 {
 /// Upper KL confidence bound: the largest `q ≥ mean` with
 /// `n · KL(mean ‖ q) ≤ beta`, found by bisection. An unpulled arm gets 1.
 pub fn kl_upper_bound(arm: &ArmState, beta: f64) -> f64 {
+    kl_upper_bound_unless_below(arm, beta, f64::NEG_INFINITY).expect("no bound is below -inf")
+}
+
+/// [`kl_upper_bound`]'s bisection, abandoned (`None`) once the bound is
+/// known to be below `floor`. The result never exceeds the bracket's upper
+/// end, so when that end drops below `floor`, so does the bound.
+fn kl_upper_bound_unless_below(arm: &ArmState, beta: f64, floor: f64) -> Option<f64> {
     if arm.n == 0 {
-        return 1.0;
+        return Some(1.0);
     }
     let p = arm.mean();
     let level = beta / arm.n as f64;
     let (mut lo, mut hi) = (p, 1.0);
     for _ in 0..32 {
+        if hi < floor {
+            return None;
+        }
         let mid = 0.5 * (lo + hi);
         if kl_bernoulli(p, mid) > level {
             hi = mid;
@@ -60,7 +70,7 @@ pub fn kl_upper_bound(arm: &ArmState, beta: f64) -> f64 {
             lo = mid;
         }
     }
-    lo
+    Some(lo)
 }
 
 /// Lower KL confidence bound: the smallest `q ≤ mean` with
@@ -90,6 +100,30 @@ pub fn beta(n_arms: usize, t: u64, delta: f64) -> f64 {
     ((n_arms as f64) * (t.max(1) as f64).powf(alpha) / delta)
         .ln()
         .max(0.0)
+}
+
+/// One KL-LUCB round's comparison: the weakest member of `top` (lowest
+/// lower bound, the first of equals) and the strongest challenger in
+/// `rest` (highest upper bound, the last of equals), with the gap between
+/// their bounds. Each bound is a bisection, so it is computed once per arm,
+/// and a challenger's bisection stops as soon as its bound is known to be
+/// below the best one so far (it can then be neither the max nor tie it).
+fn separation(arms: &[ArmState], top: &[usize], rest: &[usize], b: f64) -> (usize, usize, f64) {
+    let (lt, lower) = top
+        .iter()
+        .map(|&i| (i, kl_lower_bound(&arms[i], b)))
+        .min_by(|x, y| x.1.partial_cmp(&y.1).expect("finite bounds"))
+        .expect("top set non-empty");
+    let mut best: Option<(usize, f64)> = None;
+    for &i in rest {
+        let floor = best.map_or(f64::NEG_INFINITY, |(_, upper)| upper);
+        match kl_upper_bound_unless_below(&arms[i], b, floor) {
+            Some(upper) if upper >= floor => best = Some((i, upper)),
+            _ => {}
+        }
+    }
+    let (ut, upper) = best.expect("rest non-empty");
+    (lt, ut, upper - lower)
 }
 
 /// Identifies the `top_k` arms by mean with KL-LUCB.
@@ -132,25 +166,7 @@ pub fn kl_lucb(
             return top.to_vec();
         }
         let b = beta(n_arms, total_pulls, delta);
-        // Weakest member of the top set (lowest lower bound) and strongest
-        // challenger (highest upper bound).
-        let &lt = top
-            .iter()
-            .min_by(|&&i, &&j| {
-                kl_lower_bound(&arms[i], b)
-                    .partial_cmp(&kl_lower_bound(&arms[j], b))
-                    .expect("finite bounds")
-            })
-            .expect("top set non-empty");
-        let &ut = rest
-            .iter()
-            .max_by(|&&i, &&j| {
-                kl_upper_bound(&arms[i], b)
-                    .partial_cmp(&kl_upper_bound(&arms[j], b))
-                    .expect("finite bounds")
-            })
-            .expect("rest non-empty");
-        let gap = kl_upper_bound(&arms[ut], b) - kl_lower_bound(&arms[lt], b);
+        let (lt, ut, gap) = separation(arms, top, rest, b);
         if gap < epsilon || total_pulls >= max_pulls {
             return top.to_vec();
         }
@@ -286,6 +302,50 @@ mod tests {
             batch
         });
         assert!(pulls <= 48, "pulled {pulls} times");
+    }
+
+    proptest::proptest! {
+        /// Computing each bound once, and abandoning challengers that
+        /// cannot win, selects the same arms, and the same gap, as
+        /// comparing freshly computed bounds inside `min_by` / `max_by`.
+        /// Half the arms have tiny counts, so tied bounds (and unpulled
+        /// arms) are common and the first-min / last-max tie rule is
+        /// exercised; the others have counts whose bounds separate.
+        #[test]
+        fn separation_matches_the_closure_form(
+            counts in proptest::collection::vec((0u8..2, 0u64..400, 0u64..400), 2..12),
+            split in 1usize..9,
+            b in 0.0f64..20.0,
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let arms: Vec<ArmState> = counts
+                .iter()
+                .map(|&(tiny, n, s)| {
+                    let (n, s) = if tiny == 0 { (n % 4, s % 4) } else { (n, s) };
+                    ArmState { n, successes: s.min(n) }
+                })
+                .collect();
+            let order: Vec<usize> = (0..arms.len()).collect();
+            let (top, rest) = order.split_at(split.min(arms.len() - 1));
+            let &lt = top
+                .iter()
+                .min_by(|&&i, &&j| {
+                    kl_lower_bound(&arms[i], b)
+                        .partial_cmp(&kl_lower_bound(&arms[j], b))
+                        .expect("finite bounds")
+                })
+                .expect("top set non-empty");
+            let &ut = rest
+                .iter()
+                .max_by(|&&i, &&j| {
+                    kl_upper_bound(&arms[i], b)
+                        .partial_cmp(&kl_upper_bound(&arms[j], b))
+                        .expect("finite bounds")
+                })
+                .expect("rest non-empty");
+            let gap = kl_upper_bound(&arms[ut], b) - kl_lower_bound(&arms[lt], b);
+            prop_assert_eq!(separation(&arms, top, rest, b), (lt, ut, gap));
+        }
     }
 
     #[test]

@@ -11,10 +11,10 @@ use rand::SeedableRng;
 
 use shahin_fim::Itemset;
 use shahin_model::Classifier;
-use shahin_tabular::DiscreteTable;
+use shahin_tabular::{DiscreteTable, Feature};
 
 use crate::context::ExplainContext;
-use crate::perturb::labeled_perturbation;
+use crate::perturb::draw_rule_labels;
 
 /// Source of rule-conditioned, classifier-labeled samples plus the
 /// invariant per-rule statistics (coverage).
@@ -40,19 +40,30 @@ pub trait RuleSampler {
     fn coverage(&mut self, rule: &Itemset) -> f64;
 }
 
-/// Exact coverage of a rule over a discretized row sample.
+/// Exact coverage of a rule over a discretized row sample. Rows are
+/// matched 64 at a time, column by column: each rule item turns its
+/// column's codes into a `u64` match mask, the masks are ANDed, and the
+/// hits are popcounted.
 pub fn rule_coverage(table: &DiscreteTable, rule: &Itemset) -> f64 {
-    if table.n_rows() == 0 {
+    let n_rows = table.n_rows();
+    if n_rows == 0 {
         return 0.0;
     }
-    let hits = (0..table.n_rows())
-        .filter(|&r| {
-            rule.items()
-                .iter()
-                .all(|it| table.code(r, it.attr as usize) == it.code)
-        })
-        .count();
-    hits as f64 / table.n_rows() as f64
+    let mut hits = 0u64;
+    for start in (0..n_rows).step_by(64) {
+        let len = (n_rows - start).min(64);
+        let mut mask = u64::MAX >> (64 - len);
+        for it in rule.items() {
+            let column = &table.column(it.attr as usize)[start..start + len];
+            let mut matched = 0u64;
+            for (bit, &code) in column.iter().enumerate() {
+                matched |= u64::from(code == it.code) << bit;
+            }
+            mask &= matched;
+        }
+        hits += u64::from(mask.count_ones());
+    }
+    hits as f64 / n_rows as f64
 }
 
 /// The baseline sampler: every draw generates fresh perturbations and
@@ -61,6 +72,7 @@ pub struct FreshRuleSampler<'a, C> {
     ctx: &'a ExplainContext,
     clf: &'a C,
     rng: StdRng,
+    rows: Vec<Feature>,
 }
 
 impl<'a, C: Classifier> FreshRuleSampler<'a, C> {
@@ -70,20 +82,14 @@ impl<'a, C: Classifier> FreshRuleSampler<'a, C> {
             ctx,
             clf,
             rng: StdRng::seed_from_u64(seed),
+            rows: Vec::new(),
         }
     }
 }
 
 impl<C: Classifier> RuleSampler for FreshRuleSampler<'_, C> {
     fn draw(&mut self, rule: &Itemset, k: usize) -> (u64, u64) {
-        let mut positive = 0u64;
-        for _ in 0..k {
-            let s = labeled_perturbation(self.ctx, self.clf, rule, &mut self.rng);
-            if s.proba >= 0.5 {
-                positive += 1;
-            }
-        }
-        (k as u64, positive)
+        draw_rule_labels(self.ctx, self.clf, rule, k, &mut self.rng, &mut self.rows)
     }
 
     fn coverage(&mut self, rule: &Itemset) -> f64 {
@@ -144,5 +150,35 @@ mod tests {
     fn coverage_of_empty_table_is_zero() {
         let table = DiscreteTable::new(vec![vec![]]);
         assert_eq!(rule_coverage(&table, &Itemset::new(vec![])), 0.0);
+    }
+
+    proptest::proptest! {
+        /// The column-mask count equals the plain row-by-row count on
+        /// tables of any height (every 64-row remainder) and rules of up
+        /// to three items.
+        #[test]
+        fn coverage_matches_the_row_loop(
+            (cols, items) in proptest::Strategy::prop_flat_map((1usize..5, 0usize..200), |(m, n)| (
+                proptest::collection::vec(proptest::collection::vec(0u32..3, n), m),
+                proptest::collection::btree_map(0..m, 0u32..3, 0..=3),
+            )),
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let table = DiscreteTable::new(cols);
+            let rule = Itemset::new(items.into_iter().map(|(a, c)| Item::new(a, c)).collect());
+            let hits = (0..table.n_rows())
+                .filter(|&r| {
+                    rule.items()
+                        .iter()
+                        .all(|it| table.code(r, it.attr as usize) == it.code)
+                })
+                .count();
+            let expected = if table.n_rows() == 0 {
+                0.0
+            } else {
+                hits as f64 / table.n_rows() as f64
+            };
+            prop_assert_eq!(rule_coverage(&table, &rule), expected);
+        }
     }
 }

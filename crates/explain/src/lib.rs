@@ -30,7 +30,7 @@ pub use eval::local_fidelity;
 pub use explanation::{AnchorExplanation, FeatureWeights};
 pub use lime::{LimeExplainer, LimeParams};
 pub use perturb::{
-    estimate_base_value, labeled_perturbation, labeled_perturbations_batch,
+    draw_rule_labels, estimate_base_value, labeled_perturbation, labeled_perturbations_batch,
     labeled_perturbations_batch_timed, perturb_codes, sanitize_proba, LabeledSample, ReuseStats,
 };
 pub use shap::{CoalitionSample, CoalitionSource, KernelShapExplainer, NoSource, ShapParams};

@@ -4,7 +4,7 @@ use rand::Rng;
 
 use shahin_fim::Itemset;
 use shahin_model::Classifier;
-use shahin_tabular::Instance;
+use shahin_tabular::{Feature, Instance};
 
 use crate::context::ExplainContext;
 
@@ -81,13 +81,19 @@ pub fn sanitize_proba(p: f64, stats: &mut ReuseStats) -> f64 {
 /// training frequency distribution. Passing an empty itemset yields the
 /// fully random perturbation LIME draws.
 pub fn perturb_codes(ctx: &ExplainContext, frozen: &Itemset, rng: &mut impl Rng) -> Vec<u32> {
-    let mut codes: Vec<u32> = (0..ctx.n_attrs())
-        .map(|attr| ctx.stats().sample_code(attr, rng))
-        .collect();
+    let mut codes = vec![0; ctx.n_attrs()];
+    fill_codes(ctx, frozen, rng, &mut codes);
+    codes
+}
+
+/// [`perturb_codes`] into a caller-owned slice of `ctx.n_attrs()` codes.
+fn fill_codes(ctx: &ExplainContext, frozen: &Itemset, rng: &mut impl Rng, codes: &mut [u32]) {
+    for (attr, code) in codes.iter_mut().enumerate() {
+        *code = ctx.stats().sample_code(attr, rng);
+    }
     for item in frozen.items() {
         codes[item.attr as usize] = item.code;
     }
-    codes
 }
 
 /// Reconstructs a concrete instance from discretized codes (categorical
@@ -116,6 +122,39 @@ pub fn labeled_perturbation(
 ) -> LabeledSample {
     let codes = perturb_codes(ctx, frozen, rng);
     label_codes(ctx, clf, codes, rng)
+}
+
+/// Draws `k` perturbations with `frozen` held fixed, labels them through
+/// one [`Classifier::predict_proba_flat`] dispatch, and returns
+/// `(drawn, positive)`, where `positive` counts probabilities `>= 0.5`.
+/// This is every Anchor rule sampler's draw.
+///
+/// The RNG is consumed exactly as by `k` calls to [`labeled_perturbation`]:
+/// per row, a code for every attribute, then the frozen items, then the
+/// undiscretize draws. The rows are packed into `rows`, caller-owned
+/// scratch that is cleared first and reused from draw to draw; no codes are
+/// kept. `k == 0` makes no classifier call.
+pub fn draw_rule_labels(
+    ctx: &ExplainContext,
+    clf: &impl Classifier,
+    frozen: &Itemset,
+    k: usize,
+    rng: &mut impl Rng,
+    rows: &mut Vec<Feature>,
+) -> (u64, u64) {
+    rows.clear();
+    if k == 0 {
+        return (0, 0);
+    }
+    let n_attrs = ctx.n_attrs();
+    let mut codes = vec![0; n_attrs];
+    for _ in 0..k {
+        fill_codes(ctx, frozen, rng, &mut codes);
+        ctx.discretizer().undiscretize_into(&codes, rng, rows);
+    }
+    let probas = clf.predict_proba_flat(rows, n_attrs);
+    let positive = probas.iter().filter(|&&p| p >= 0.5).count();
+    (k as u64, positive as u64)
 }
 
 /// Generates `count` perturbations with `frozen` held fixed and labels them

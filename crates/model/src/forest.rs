@@ -121,11 +121,20 @@ impl RandomForest {
     /// more than it saves).
     const MIN_ROWS_PER_WORKER: usize = 256;
 
-    /// Sums every tree's probability into `out[i]` for row `i` of the flat
-    /// row-major buffer and divides by the tree count. The outer loop is
-    /// over trees so one tree's nodes stay hot in cache across the whole
-    /// row chunk; the borrowed flat slice means callers never materialize
-    /// per-row `Vec<Feature>`s.
+    /// Workers for a default dispatch of `n_rows` rows. A batch too small
+    /// to split never asks for the CPU count: `available_parallelism` reads
+    /// cgroup files on every call, which costs more than classifying a
+    /// small batch (an Anchor draw, a LIME top-up).
+    fn default_workers(n_rows: usize) -> usize {
+        if n_rows < 2 * Self::MIN_ROWS_PER_WORKER {
+            return 1;
+        }
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    }
+
+    /// Writes the mean tree probability of row `i` of the flat row-major
+    /// buffer into `out[i]` (`out` arrives zeroed). The borrowed flat slice
+    /// means callers never materialize per-row `Vec<Feature>`s.
     fn predict_chunk(&self, rows: &[Feature], n_attrs: usize, out: &mut [f64]) {
         match self.layout {
             ForestLayout::Flat => self.flat.predict_chunk(rows, n_attrs, out),
@@ -208,16 +217,15 @@ impl Classifier for RandomForest {
     /// to amortize the spawns. Row order (and hence the output) is
     /// independent of the thread count.
     fn predict_proba_batch(&self, instances: &[Vec<Feature>]) -> Vec<f64> {
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        self.predict_batch_with(instances, workers)
+        self.predict_batch_with(instances, Self::default_workers(instances.len()))
     }
 
     /// The allocation-free fast path: batched rows arrive already packed
     /// into one flat row-major buffer and go straight to the chunked
     /// traversal loop.
     fn predict_proba_flat(&self, rows: &[Feature], n_attrs: usize) -> Vec<f64> {
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        self.predict_flat_with(rows, n_attrs, workers)
+        let n_rows = rows.len().checked_div(n_attrs).unwrap_or(0);
+        self.predict_flat_with(rows, n_attrs, Self::default_workers(n_rows))
     }
 }
 

@@ -1,8 +1,9 @@
 //! Equivalence tests for the cache-conscious layouts (DESIGN.md §5g): the
 //! bitset containment engine must agree bit-for-bit with the legacy
-//! postings index, the CSR-flattened forest with the nested trees, and the
-//! end-to-end drivers must produce identical explanations and invocation
-//! counts under either representation at 1/2/8 threads.
+//! postings index, the CSR-flattened forest with the nested trees (and its
+//! multi-row kernel with its single-row walk), and the end-to-end drivers
+//! must produce identical explanations and invocation counts under either
+//! representation at 1/2/8 threads.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -12,7 +13,7 @@ use shahin::{run, BatchConfig, ExplainerKind, Explanation, MatchEngine, Method};
 use shahin_explain::{ExplainContext, KernelShapExplainer, LimeExplainer, LimeParams, ShapParams};
 use shahin_fim::{BitsetDomain, Item, Itemset, ItemsetIndex, MatchScratch};
 use shahin_model::{Classifier, CountingClassifier, ForestLayout, ForestParams, RandomForest};
-use shahin_tabular::{train_test_split, Dataset, DatasetPreset};
+use shahin_tabular::{train_test_split, Dataset, DatasetPreset, Feature};
 
 /// A random non-empty itemset over `n_attrs` attributes with codes below
 /// `card`: between 1 and 3 items on distinct attributes.
@@ -114,6 +115,77 @@ fn flat_and_nested_predictions_are_bit_identical_at_every_worker_count() {
     }
     for inst in &instances {
         assert_eq!(forest.predict_proba(inst), nested.predict_proba(inst));
+    }
+}
+
+/// Two flat forests for the chunk kernel, each with rows to feed it: a
+/// Census forest (numeric and categorical splits), and one fitted on
+/// labels that are all 0 but one, so every bootstrap sample that misses
+/// the positive row grows a single-leaf tree.
+fn chunk_forests() -> &'static [(RandomForest, Dataset); 2] {
+    static FORESTS: std::sync::OnceLock<[(RandomForest, Dataset); 2]> = std::sync::OnceLock::new();
+    FORESTS.get_or_init(|| {
+        let (train, forest, _, _) = forest_world();
+        let (data, _) = DatasetPreset::CensusIncome.spec(0.01).generate(5);
+        let mut labels = vec![0u8; data.n_rows()];
+        labels[0] = 1;
+        let params = ForestParams {
+            n_trees: 16,
+            ..Default::default()
+        };
+        let skewed = RandomForest::fit(&data, &labels, &params, &mut StdRng::seed_from_u64(6));
+        let flat = skewed.flat();
+        assert!(
+            (0..flat.n_trees()).any(|t| flat.depth(t) == 0),
+            "no single-leaf tree"
+        );
+        assert!((0..flat.n_trees()).any(|t| flat.depth(t) > 0));
+        [(forest, train), (skewed, data)]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The branchless multi-row kernel behind `predict_proba_flat` equals
+    /// the early-exit single-row walk bit for bit: every chunk size from 1
+    /// to 40 (every remainder of the lane group), forests with single-leaf
+    /// trees, NaN numeric features and categorical codes never seen in
+    /// training.
+    #[test]
+    fn flat_dispatch_equals_per_row_predictions(
+        which in 0usize..2,
+        picks in proptest::collection::vec((0usize..100_000, 0u8..4, 0usize..64), 1..=40),
+    ) {
+        let (forest, data) = &chunk_forests()[which];
+        let rows: Vec<Vec<Feature>> = picks
+            .iter()
+            .map(|&(row, kind, attr)| {
+                let mut inst = data.instance(row % data.n_rows());
+                let unseen = |f: &mut Feature| {
+                    *f = match *f {
+                        Feature::Num(_) => Feature::Num(f64::NAN),
+                        Feature::Cat(c) => Feature::Cat(c + 1_000),
+                    }
+                };
+                match kind {
+                    1 => {
+                        let m = inst.len();
+                        unseen(&mut inst[attr % m]);
+                    }
+                    2 => inst.iter_mut().for_each(unseen),
+                    _ => {}
+                }
+                inst
+            })
+            .collect();
+        let n_attrs = rows[0].len();
+        let buf: Vec<Feature> = rows.iter().flatten().copied().collect();
+        let batched = forest.predict_proba_flat(&buf, n_attrs);
+        prop_assert_eq!(batched.len(), rows.len());
+        for (row, got) in rows.iter().zip(&batched) {
+            prop_assert_eq!(got.to_bits(), forest.predict_proba(row).to_bits());
+        }
     }
 }
 
