@@ -9,11 +9,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use shahin::shap_source::pool_coalitions;
+use shahin::{BatchConfig, PerturbationStore, StoreCoalitionSource};
 use shahin_explain::{
-    labeled_perturbation, AnchorExplainer, ExplainContext, KernelShapExplainer, LabeledSample,
-    LimeExplainer, LimeParams, ShapParams,
+    labeled_perturbations_batch, AnchorExplainer, ExplainContext, KernelShapExplainer,
+    LabeledSample, LimeExplainer, LimeParams, ShapParams,
 };
-use shahin_fim::Itemset;
+use shahin_fim::{apriori, AprioriParams, Itemset, MatchScratch};
 use shahin_model::{ForestParams, RandomForest};
 use shahin_tabular::{train_test_split, DatasetPreset, Instance};
 
@@ -22,6 +24,9 @@ struct Setup {
     clf: RandomForest,
     instance: Instance,
     reusable: Vec<LabeledSample>,
+    /// The frequent itemsets of the training split, materialized at the
+    /// default `tau` as Shahin-Batch would.
+    store: PerturbationStore,
 }
 
 fn setup() -> Setup {
@@ -36,15 +41,25 @@ fn setup() -> Setup {
     );
     let ctx = ExplainContext::fit(&split.train, 500, &mut rng);
     let instance = split.test.instance(0);
-    let empty = Itemset::new(vec![]);
-    let reusable: Vec<LabeledSample> = (0..300)
-        .map(|_| labeled_perturbation(&ctx, &clf, &empty, &mut rng))
-        .collect();
+    let reusable = labeled_perturbations_batch(&ctx, &clf, &Itemset::new(vec![]), 300, &mut rng);
+    let config = BatchConfig::default();
+    let mined = apriori(
+        &ctx.discretizer().encode_dataset(&split.train),
+        &AprioriParams {
+            min_support: config.min_support,
+            max_len: config.max_itemset_len,
+            max_itemsets: config.max_itemsets,
+        },
+    );
+    let itemsets = mined.frequent.into_iter().map(|(set, _)| set).collect();
+    let mut store = PerturbationStore::new(itemsets, usize::MAX);
+    store.materialize_parallel(&ctx, &clf, config.tau, 7, 1);
     Setup {
         ctx,
         clf,
         instance,
         reusable,
+        store,
     }
 }
 
@@ -75,6 +90,27 @@ fn bench_shap(c: &mut Criterion) {
     c.bench_function("explain/shap_fresh_128", |b| {
         let mut rng = StdRng::seed_from_u64(5);
         b.iter(|| shap.explain(&s.ctx, &s.clf, &s.instance, 0.5, &mut rng))
+    });
+    // Shahin's per-tuple SHAP: half the budget pooled from the matched
+    // itemsets, the rest fetched from the store where a sampled coalition
+    // allows it (Algorithm 3 lines 7–13), the misses labelled fresh.
+    let codes = s.ctx.discretizer().encode_instance(&s.instance);
+    let matched = s.store.matching_read(&codes, &mut MatchScratch::new());
+    c.bench_function("explain/shap_store_source_128", |b| {
+        let mut rng = StdRng::seed_from_u64(7);
+        b.iter(|| {
+            let pooled = pool_coalitions(&s.store, &matched, shap.params.n_samples / 2);
+            let mut source = StoreCoalitionSource::new(&s.store, matched.clone());
+            shap.explain_with(
+                &s.ctx,
+                &s.clf,
+                &s.instance,
+                0.5,
+                pooled,
+                &mut source,
+                &mut rng,
+            )
+        })
     });
 }
 

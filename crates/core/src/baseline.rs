@@ -244,6 +244,10 @@ pub fn dist_k_shap<C: Classifier>(
 /// Wraps a classifier and records every invocation as a discretized
 /// [`LabeledSample`], so GREEDY and the streaming driver can persist
 /// whatever perturbations the (unmodified) explainer happened to generate.
+///
+/// A row is logged only once its dispatch returns. The explainers label a
+/// tuple's fresh rows in one flat dispatch, so a dispatch that panics logs
+/// none of its rows, not the rows before the one that panicked.
 pub(crate) struct RecordingClassifier<'a, C> {
     inner: &'a C,
     ctx: &'a ExplainContext,

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use shahin_explain::{
-    labeled_perturbation, labeled_perturbations_batch_timed, ExplainContext, LabeledSample,
+    labeled_perturbations_batch, labeled_perturbations_batch_timed, ExplainContext, LabeledSample,
 };
 use shahin_fim::{BitsetDomain, Itemset, ItemsetIndex, MatchScratch};
 use shahin_model::Classifier;
@@ -33,6 +33,12 @@ pub fn per_itemset_seed(base: u64, id: usize) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// What one labeled sample of `ctx`'s schema costs the byte budget:
+/// [`LabeledSample::approx_bytes`] of a sample with `ctx.n_attrs()` codes.
+fn sample_bytes(ctx: &ExplainContext) -> usize {
+    std::mem::size_of::<LabeledSample>() + ctx.n_attrs() * std::mem::size_of::<u32>()
 }
 
 /// Accounting of one store lookup, as returned by the `_stats` lookup
@@ -209,8 +215,9 @@ impl PerturbationStore {
 
     /// Materializes up to `tau` labeled perturbations per itemset, highest
     /// priority (lowest id) first, stopping early when the byte budget is
-    /// reached. Each sample costs one classifier invocation. Returns the
-    /// number of samples materialized.
+    /// reached. Each sample costs one classifier invocation; each itemset's
+    /// samples are labelled in one dispatch, drawn in turn from the shared
+    /// `rng`. Returns the number of samples materialized.
     pub fn materialize(
         &mut self,
         ctx: &ExplainContext,
@@ -218,13 +225,13 @@ impl PerturbationStore {
         tau: usize,
         rng: &mut impl Rng,
     ) -> usize {
+        let plan = self.fill_plan(tau, sample_bytes(ctx));
         let mut created = 0usize;
-        for id in 0..self.itemsets.len() {
-            for _ in self.n_samples[id] as usize..tau {
-                if self.used_bytes >= self.budget {
-                    return created;
-                }
-                let sample = labeled_perturbation(ctx, clf, &self.itemsets[id], rng);
+        for (id, count) in plan.into_iter().enumerate() {
+            if count == 0 {
+                continue;
+            }
+            for sample in labeled_perturbations_batch(ctx, clf, &self.itemsets[id], count, rng) {
                 self.push_sample(id, sample);
                 created += 1;
             }
@@ -234,11 +241,9 @@ impl PerturbationStore {
 
     /// How many samples a materialization pass with this `tau` will create
     /// per itemset, computed up front. This is possible because every
-    /// labeled sample of one dataset costs the same `sample_bytes`
-    /// ([`LabeledSample::approx_bytes`] is `size_of + n_attrs * 4`), so the
-    /// budget cutoff does not depend on the samples themselves. Mirrors the
-    /// sequential loop in [`PerturbationStore::materialize`] exactly:
-    /// budget checked before each sample, lowest id first.
+    /// labeled sample of one dataset costs the same [`sample_bytes`], so
+    /// the budget cutoff does not depend on the samples themselves: the
+    /// budget is checked before each sample, lowest id first.
     fn fill_plan(&self, tau: usize, sample_bytes: usize) -> Vec<usize> {
         let mut plan = vec![0usize; self.entries.len()];
         let mut used = self.used_bytes;
@@ -272,8 +277,7 @@ impl PerturbationStore {
         seed: u64,
         n_threads: usize,
     ) -> usize {
-        let sample_bytes =
-            std::mem::size_of::<LabeledSample>() + ctx.n_attrs() * std::mem::size_of::<u32>();
+        let sample_bytes = sample_bytes(ctx);
         let plan = self.fill_plan(tau, sample_bytes);
         let total: usize = plan.iter().sum();
         if total == 0 {

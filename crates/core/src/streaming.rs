@@ -390,7 +390,9 @@ impl ShahinStreaming {
             // Labels captured before a mid-tuple panic were still paid
             // for, and the tuple was still *seen* — absorb what exists
             // (the first is the instance's own probe) and keep it in the
-            // mining window either way.
+            // mining window either way. A flat dispatch that panicked
+            // logged none of its rows, so a tuple quarantined there
+            // leaves only its probe.
             st.absorb(&codes, recorder.take_log().into_iter().skip(1).collect());
             st.window.push(codes);
             st.maybe_refresh(ctx, clf, &mut rng);

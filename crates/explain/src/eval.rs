@@ -10,21 +10,20 @@
 
 use rand::Rng;
 
-use shahin_fim::Itemset;
 use shahin_linalg::{default_kernel_width, exponential_kernel};
 use shahin_model::Classifier;
 use shahin_tabular::Feature;
 
 use crate::context::ExplainContext;
 use crate::explanation::FeatureWeights;
-use crate::perturb::labeled_perturbation;
+use crate::perturb::label_random_rows;
 
 /// Weighted R² of the explanation's linear surrogate against the black box
 /// on `n_eval` fresh perturbations of `instance` (proximity-weighted with
 /// LIME's kernel). 1.0 is a perfect local fit; values can go negative when
 /// the surrogate is worse than predicting the weighted mean.
 ///
-/// Costs `n_eval` classifier invocations.
+/// Costs `n_eval` classifier invocations, made in one dispatch.
 pub fn local_fidelity(
     ctx: &ExplainContext,
     clf: &impl Classifier,
@@ -39,23 +38,20 @@ pub fn local_fidelity(
     assert!(n_eval >= 2, "need at least two evaluation samples");
     let inst_codes = ctx.discretizer().encode_instance(instance);
     let width = default_kernel_width(m);
-    let empty = Itemset::new(vec![]);
 
-    let mut ys = Vec::with_capacity(n_eval);
+    let (codes, ys) = label_random_rows(ctx, clf, n_eval, rng);
     let mut preds = Vec::with_capacity(n_eval);
     let mut ws = Vec::with_capacity(n_eval);
-    for _ in 0..n_eval {
-        let s = labeled_perturbation(ctx, clf, &empty, rng);
+    for row in codes.chunks_exact(m) {
         let mut zeros = 0usize;
         let mut surrogate = explanation.intercept;
         for (j, &code) in inst_codes.iter().enumerate() {
-            if s.codes[j] == code {
+            if row[j] == code {
                 surrogate += explanation.weights[j];
             } else {
                 zeros += 1;
             }
         }
-        ys.push(s.proba);
         preds.push(surrogate);
         ws.push(exponential_kernel((zeros as f64).sqrt(), width));
     }

@@ -16,14 +16,13 @@
 
 use rand::Rng;
 
-use shahin_fim::Itemset;
 use shahin_linalg::{default_kernel_width, exponential_kernel, ridge_binary, BitDesign, RidgeFit};
 use shahin_model::Classifier;
 use shahin_tabular::Feature;
 
 use crate::context::ExplainContext;
 use crate::explanation::FeatureWeights;
-use crate::perturb::{labeled_perturbation, sanitize_proba, LabeledSample, ReuseStats};
+use crate::perturb::{label_random_rows, sanitize_proba, LabeledSample, ReuseStats};
 
 /// LIME hyperparameters.
 #[derive(Clone, Debug)]
@@ -124,26 +123,24 @@ impl LimeExplainer {
         z.push_row(|_| true);
         y.push(fx);
         w.push(kernel[0]);
-        let mut reused = reused.into_iter();
-        let empty = Itemset::new(vec![]);
-        for _ in 1..n {
-            let fresh;
-            let (codes, proba): (&[u32], f64) = match reused.next() {
-                Some(s) => {
-                    stats.reused += 1;
-                    (&s.codes, s.proba)
-                }
-                None => {
-                    fresh = labeled_perturbation(ctx, clf, &empty, rng);
-                    stats.fresh += 1;
-                    stats.invocations += 1;
-                    (&fresh.codes, fresh.proba)
-                }
-            };
-            // Binary interpretable representation + distance.
+        // Binary interpretable representation + distance of one row.
+        let mut push = |codes: &[u32], proba: f64, stats: &mut ReuseStats| {
             let ones = z.push_row(|j| codes[j] == inst_codes[j]);
-            y.push(sanitize_proba(proba, &mut stats));
+            y.push(sanitize_proba(proba, stats));
             w.push(kernel[m - ones]);
+        };
+        for s in reused.into_iter().take(n - 1) {
+            stats.reused += 1;
+            push(&s.codes, s.proba, &mut stats);
+        }
+        // The top-up: every remaining row generated, then labelled in one
+        // dispatch.
+        let fresh = n - 1 - stats.reused as usize;
+        let (codes, probas) = label_random_rows(ctx, clf, fresh, rng);
+        stats.fresh = fresh as u64;
+        stats.invocations += fresh as u64;
+        for (row, &proba) in codes.chunks_exact(m).zip(&probas) {
+            push(row, proba, &mut stats);
         }
 
         let fit = ridge_binary(&z, &y, &w, self.params.alpha);
@@ -175,7 +172,6 @@ impl LimeExplainer {
         assert!(tolerance > 0.0, "tolerance must be positive");
         let inst_codes = ctx.discretizer().encode_instance(instance);
         let kernel = self.kernel_by_zeros(m);
-        let empty = Itemset::new(vec![]);
 
         // Dropped on purpose: the adaptive variant returns no accounting, so
         // the count of clamped labels goes nowhere. Only the clamping matters.
@@ -189,10 +185,11 @@ impl LimeExplainer {
         let mut fit = None;
 
         while y.len() < self.params.n_samples {
-            for _ in 0..check_every.min(self.params.n_samples - y.len()) {
-                let s = labeled_perturbation(ctx, clf, &empty, rng);
-                let ones = z.push_row(|j| s.codes[j] == inst_codes[j]);
-                y.push(sanitize_proba(s.proba, &mut stats));
+            let round = check_every.min(self.params.n_samples - y.len());
+            let (codes, probas) = label_random_rows(ctx, clf, round, rng);
+            for (row, &proba) in codes.chunks_exact(m).zip(&probas) {
+                let ones = z.push_row(|j| row[j] == inst_codes[j]);
+                y.push(sanitize_proba(proba, &mut stats));
                 w.push(kernel[m - ones]);
             }
             let f = ridge_binary(&z, &y, &w, self.params.alpha);
@@ -243,8 +240,10 @@ fn surrogate_weights(fit: RidgeFit, m: usize) -> FeatureWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perturb::labeled_perturbation;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use shahin_fim::Itemset;
     use shahin_model::{CountingClassifier, MajorityClass};
     use shahin_tabular::{Attribute, Column, Dataset, DatasetPreset, Schema};
     use std::sync::Arc;

@@ -82,38 +82,77 @@ pub fn sanitize_proba(p: f64, stats: &mut ReuseStats) -> f64 {
 /// fully random perturbation LIME draws.
 pub fn perturb_codes(ctx: &ExplainContext, frozen: &Itemset, rng: &mut impl Rng) -> Vec<u32> {
     let mut codes = vec![0; ctx.n_attrs()];
-    fill_codes(ctx, frozen, rng, &mut codes);
+    fill_codes(ctx, frozen_pairs(frozen), rng, &mut codes);
     codes
 }
 
-/// [`perturb_codes`] into a caller-owned slice of `ctx.n_attrs()` codes.
-fn fill_codes(ctx: &ExplainContext, frozen: &Itemset, rng: &mut impl Rng, codes: &mut [u32]) {
+/// [`perturb_codes`] into a caller-owned slice of `ctx.n_attrs()` codes,
+/// with the frozen items given as `(attr, code)` pairs.
+fn fill_codes(
+    ctx: &ExplainContext,
+    frozen: impl IntoIterator<Item = (usize, u32)>,
+    rng: &mut impl Rng,
+    codes: &mut [u32],
+) {
     for (attr, code) in codes.iter_mut().enumerate() {
         *code = ctx.stats().sample_code(attr, rng);
     }
-    for item in frozen.items() {
-        codes[item.attr as usize] = item.code;
+    for (attr, code) in frozen {
+        codes[attr] = code;
     }
 }
 
-/// Reconstructs a concrete instance from discretized codes (categorical
-/// codes pass through, numeric bins get truncated-normal draws) and labels
-/// it with one classifier invocation.
-pub fn label_codes(
+/// An itemset's items as the `(attr, code)` pairs [`push_perturbation`]
+/// freezes.
+fn frozen_pairs(frozen: &Itemset) -> impl Iterator<Item = (usize, u32)> + '_ {
+    frozen.items().iter().map(|it| (it.attr as usize, it.code))
+}
+
+/// The one perturbation generator: samples a code for every attribute into
+/// `codes` (`ctx.n_attrs()` long), overwrites the `frozen` `(attr, code)`
+/// pairs, and appends the undiscretized row to the flat row-major buffer
+/// `rows`. The RNG is consumed exactly as by one [`labeled_perturbation`]:
+/// a code per attribute, then the undiscretize draws.
+///
+/// Every explainer packs its fresh rows with this and labels them in one
+/// [`Classifier::predict_proba_flat`] dispatch.
+pub(crate) fn push_perturbation(
+    ctx: &ExplainContext,
+    frozen: impl IntoIterator<Item = (usize, u32)>,
+    rng: &mut impl Rng,
+    codes: &mut [u32],
+    rows: &mut Vec<Feature>,
+) {
+    fill_codes(ctx, frozen, rng, codes);
+    ctx.discretizer().undiscretize_into(codes, rng, rows);
+}
+
+/// `count` fully random perturbations (LIME's, the base value's, the
+/// fidelity check's): their codes, `count · n_attrs` long, row-major, and
+/// their labels from one [`Classifier::predict_proba_flat`] dispatch.
+pub(crate) fn label_random_rows(
     ctx: &ExplainContext,
     clf: &impl Classifier,
-    codes: Vec<u32>,
+    count: usize,
     rng: &mut impl Rng,
-) -> LabeledSample {
-    let instance: Instance = ctx.discretizer().undiscretize_instance(&codes, rng);
-    let proba = clf.predict_proba(&instance);
-    LabeledSample {
-        codes: codes.into_boxed_slice(),
-        proba,
+) -> (Vec<u32>, Vec<f64>) {
+    let n_attrs = ctx.n_attrs();
+    let mut codes = vec![0; count * n_attrs];
+    let mut rows = Vec::with_capacity(count * n_attrs);
+    for row in codes.chunks_exact_mut(n_attrs) {
+        push_perturbation(ctx, [], rng, row, &mut rows);
     }
+    let probas = if count == 0 {
+        Vec::new()
+    } else {
+        clf.predict_proba_flat(&rows, n_attrs)
+    };
+    (codes, probas)
 }
 
-/// Generates and labels one perturbation with `frozen` items held fixed.
+/// Generates and labels one perturbation with `frozen` items held fixed,
+/// one classifier call per row. No explainer labels this way any more: it
+/// is the per-row reference the batched generator is tested against.
 pub fn labeled_perturbation(
     ctx: &ExplainContext,
     clf: &impl Classifier,
@@ -121,7 +160,11 @@ pub fn labeled_perturbation(
     rng: &mut impl Rng,
 ) -> LabeledSample {
     let codes = perturb_codes(ctx, frozen, rng);
-    label_codes(ctx, clf, codes, rng)
+    let instance: Instance = ctx.discretizer().undiscretize_instance(&codes, rng);
+    LabeledSample {
+        proba: clf.predict_proba(&instance),
+        codes: codes.into_boxed_slice(),
+    }
 }
 
 /// Draws `k` perturbations with `frozen` held fixed, labels them through
@@ -129,11 +172,10 @@ pub fn labeled_perturbation(
 /// `(drawn, positive)`, where `positive` counts probabilities `>= 0.5`.
 /// This is every Anchor rule sampler's draw.
 ///
-/// The RNG is consumed exactly as by `k` calls to [`labeled_perturbation`]:
-/// per row, a code for every attribute, then the frozen items, then the
-/// undiscretize draws. The rows are packed into `rows`, caller-owned
-/// scratch that is cleared first and reused from draw to draw; no codes are
-/// kept. `k == 0` makes no classifier call.
+/// The rows come from [`push_perturbation`], so the RNG is consumed exactly
+/// as by `k` calls to [`labeled_perturbation`]. They are packed into
+/// `rows`, caller-owned scratch that is cleared first and reused from draw
+/// to draw; no codes are kept. `k == 0` makes no classifier call.
 pub fn draw_rule_labels(
     ctx: &ExplainContext,
     clf: &impl Classifier,
@@ -149,8 +191,7 @@ pub fn draw_rule_labels(
     let n_attrs = ctx.n_attrs();
     let mut codes = vec![0; n_attrs];
     for _ in 0..k {
-        fill_codes(ctx, frozen, rng, &mut codes);
-        ctx.discretizer().undiscretize_into(&codes, rng, rows);
+        push_perturbation(ctx, frozen_pairs(frozen), rng, &mut codes, rows);
     }
     let probas = clf.predict_proba_flat(rows, n_attrs);
     let positive = probas.iter().filter(|&&p| p >= 0.5).count();
@@ -196,8 +237,8 @@ pub fn labeled_perturbations_batch_timed(
     // (e.g. `FlatForest`) consumes it without re-framing.
     let mut rows = Vec::with_capacity(count * n_attrs);
     for _ in 0..count {
-        let codes = perturb_codes(ctx, frozen, rng);
-        ctx.discretizer().undiscretize_into(&codes, rng, &mut rows);
+        let mut codes = vec![0; n_attrs];
+        push_perturbation(ctx, frozen_pairs(frozen), rng, &mut codes, &mut rows);
         codes_list.push(codes);
     }
     let generate_time = gen_start.elapsed();
@@ -214,9 +255,10 @@ pub fn labeled_perturbations_batch_timed(
 }
 
 /// Estimates the base value `E[f]` (KernelSHAP's null prediction) by
-/// averaging the classifier over `n` fully random perturbations. Costs `n`
-/// classifier invocations — done once per batch, which is how the
-/// reference implementation amortizes its background set too.
+/// averaging the classifier over `n` fully random perturbations, labelled
+/// in one dispatch. Costs `n` classifier invocations — done once per batch,
+/// which is how the reference implementation amortizes its background set
+/// too.
 pub fn estimate_base_value(
     ctx: &ExplainContext,
     clf: &impl Classifier,
@@ -224,12 +266,12 @@ pub fn estimate_base_value(
     rng: &mut impl Rng,
 ) -> f64 {
     assert!(n > 0, "need at least one sample");
-    let empty = Itemset::new(vec![]);
-    let sum: f64 = (0..n)
-        .map(|_| {
+    let (_, probas) = label_random_rows(ctx, clf, n, rng);
+    let sum: f64 = probas
+        .into_iter()
+        .map(|p| {
             // A single NaN here would poison the base value for the whole
             // batch; sanitize per sample like the surrogate inputs.
-            let p = labeled_perturbation(ctx, clf, &empty, rng).proba;
             if p.is_finite() {
                 p.clamp(0.0, 1.0)
             } else {
@@ -279,6 +321,39 @@ mod tests {
         // At least one attribute takes multiple values across draws.
         let varies = (0..ctx.n_attrs()).any(|a| draws.iter().any(|d| d[a] != draws[0][a]));
         assert!(varies, "perturbations are all identical");
+    }
+
+    /// A classifier whose output depends on every feature, numeric draws
+    /// included, so a reordered draw changes a label.
+    struct Blend;
+    impl Classifier for Blend {
+        fn predict_proba(&self, instance: &[Feature]) -> f64 {
+            let sum: f64 = instance
+                .iter()
+                .map(|f| match f {
+                    Feature::Num(v) => *v,
+                    Feature::Cat(c) => f64::from(*c) * 0.37,
+                })
+                .sum();
+            sum.fract().abs()
+        }
+    }
+
+    #[test]
+    fn random_rows_replay_the_per_row_reference() {
+        let ctx = ctx();
+        let (mut a, mut b) = (StdRng::seed_from_u64(6), StdRng::seed_from_u64(6));
+        let clf = CountingClassifier::new(Blend);
+        let (codes, probas) = label_random_rows(&ctx, &clf, 25, &mut a);
+        assert_eq!(clf.invocations(), 25);
+        let empty = Itemset::new(vec![]);
+        for (row, &proba) in codes.chunks_exact(ctx.n_attrs()).zip(&probas) {
+            let s = labeled_perturbation(&ctx, &Blend, &empty, &mut b);
+            assert_eq!((row, proba.to_bits()), (&s.codes[..], s.proba.to_bits()));
+        }
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "RNG positions differ");
+        assert_eq!(label_random_rows(&ctx, &clf, 0, &mut a), (vec![], vec![]));
+        assert_eq!(clf.invocations(), 25, "an empty top-up makes no call");
     }
 
     #[test]

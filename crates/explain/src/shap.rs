@@ -18,14 +18,13 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use shahin_fim::{Item, Itemset};
 use shahin_linalg::{constrained_wls_binary, shap_kernel_weight, BitDesign};
 use shahin_model::Classifier;
 use shahin_tabular::Feature;
 
 use crate::context::ExplainContext;
 use crate::explanation::FeatureWeights;
-use crate::perturb::{labeled_perturbation, sanitize_proba, ReuseStats};
+use crate::perturb::{push_perturbation, sanitize_proba, ReuseStats};
 
 /// KernelSHAP hyperparameters.
 #[derive(Clone, Debug)]
@@ -161,6 +160,11 @@ impl KernelShapExplainer {
         }
 
         let mut attrs: Vec<u16> = (0..m as u16).collect();
+        // Coalitions the source could not serve: their perturbations, packed
+        // row-major, and the sample slots their labels belong in.
+        let mut codes = vec![0; m];
+        let mut rows = Vec::new();
+        let mut fresh_slots = Vec::new();
         while samples.len() < n {
             // Pick subset size via Eq. 1 (or uniformly, for the ablation),
             // then a uniform subset of it.
@@ -174,25 +178,33 @@ impl KernelShapExplainer {
             let mut coalition: Vec<u16> = attrs[..size].to_vec();
             coalition.sort_unstable();
 
+            // `fetch` draws nothing from `rng`, so a miss's perturbation
+            // draws right after its coalition, exactly where a per-row
+            // `labeled_perturbation` would.
             let proba = match source.fetch(&inst_codes, &coalition) {
                 Some(p) => {
                     stats.reused += 1;
                     p
                 }
                 None => {
-                    let frozen = Itemset::new(
-                        coalition
-                            .iter()
-                            .map(|&a| Item::new(a as usize, inst_codes[a as usize]))
-                            .collect(),
-                    );
-                    stats.fresh += 1;
-                    stats.invocations += 1;
-                    labeled_perturbation(ctx, clf, &frozen, rng).proba
+                    let frozen = coalition
+                        .iter()
+                        .map(|&a| (a as usize, inst_codes[a as usize]));
+                    push_perturbation(ctx, frozen, rng, &mut codes, &mut rows);
+                    fresh_slots.push(samples.len());
+                    f64::NAN // labelled below
                 }
             };
             samples.push(CoalitionSample { coalition, proba });
         }
+        if !fresh_slots.is_empty() {
+            let probas = clf.predict_proba_flat(&rows, m);
+            for (&slot, proba) in fresh_slots.iter().zip(probas) {
+                samples[slot].proba = proba;
+            }
+        }
+        stats.fresh = fresh_slots.len() as u64;
+        stats.invocations += stats.fresh;
 
         // Regression: binary design (coalition membership). When sizes are
         // drawn by kernel mass, importance sampling makes the regression

@@ -9,8 +9,13 @@
 //! * Anchor: `Batch` equals `BatchParallel` at one thread (more threads
 //!   race on the shared caches);
 //! * two seeded `Streaming` runs are equal;
-//! * every (driver × explainer) invocation total, as an exact integer.
+//! * every (driver × explainer) invocation total, as an exact integer;
+//! * LIME's and SHAP's explanations under `Batch` and `Streaming`, bit for
+//!   bit, as fingerprints;
+//! * per tuple, LIME and SHAP make one instance probe plus at most one flat
+//!   dispatch for all their fresh rows, and none when every row is reused.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -18,15 +23,16 @@ use rand::SeedableRng;
 
 use shahin::{
     run_with_obs, BatchConfig, ExplainerKind, Explanation, Method, MetricsRegistry,
-    ProvenanceRecord, ProvenanceSink, RunReport, StreamingConfig, WarmEngine, WarmOutcome,
-    WarmRequest,
+    PerturbationStore, ProvenanceRecord, ProvenanceSink, RunReport, StoreCoalitionSource,
+    StreamingConfig, WarmEngine, WarmOutcome, WarmRequest,
 };
 use shahin_explain::{
-    AnchorExplainer, AnchorParams, ExplainContext, KernelShapExplainer, LimeExplainer, LimeParams,
-    ShapParams,
+    labeled_perturbations_batch, AnchorExplainer, AnchorParams, CoalitionSample, ExplainContext,
+    KernelShapExplainer, LimeExplainer, LimeParams, NoSource, ReuseStats, ShapParams,
 };
-use shahin_model::{CountingClassifier, ForestParams, RandomForest};
-use shahin_tabular::{train_test_split, Dataset, DatasetPreset};
+use shahin_fim::{Item, Itemset};
+use shahin_model::{Classifier, CountingClassifier, ForestParams, RandomForest};
+use shahin_tabular::{train_test_split, Dataset, DatasetPreset, Feature};
 
 const SEED: u64 = 17;
 const ROWS: usize = 40;
@@ -185,6 +191,49 @@ mod pinned {
     pub const SHAP_STREAMING: u64 = 1_804;
     pub const ANCHOR_BATCH: u64 = 57_192;
     pub const ANCHOR_STREAMING: u64 = 63_602;
+    /// [`super::fingerprint`]s measured while LIME and SHAP still labelled
+    /// every fresh row with its own classifier call. Batching the top-ups
+    /// must not reorder a single RNG draw, so none of these may move.
+    pub const LIME_BATCH_PRINT: u64 = 0x996d_57ad_c2fb_481a;
+    pub const LIME_STREAMING_PRINT: u64 = 0x6ecd_5624_eb6d_4f74;
+    pub const SHAP_BATCH_PRINT: u64 = 0x1360_4999_d7b1_f9ed;
+    pub const SHAP_STREAMING_PRINT: u64 = 0x755c_6123_8b44_d46c;
+}
+
+/// FNV-1a over the bit patterns of every weight, intercept and local
+/// prediction, in row order.
+fn fingerprint(explanations: &[Explanation]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in weights(explanations) {
+        let values = w.weights.iter().chain([&w.intercept, &w.local_prediction]);
+        for byte in values.flat_map(|v| v.to_bits().to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x1_0000_01b3);
+        }
+    }
+    h
+}
+
+fn streaming() -> Method {
+    Method::Streaming(StreamingConfig {
+        refresh_every: 15,
+        tau: 30,
+        ..Default::default()
+    })
+}
+
+#[test]
+fn lime_and_shap_explanations_are_pinned_bit_for_bit() {
+    let w = world();
+    for (kind, method, print) in [
+        (lime(), Method::Batch(config(1)), pinned::LIME_BATCH_PRINT),
+        (lime(), streaming(), pinned::LIME_STREAMING_PRINT),
+        (shap(), Method::Batch(config(1)), pinned::SHAP_BATCH_PRINT),
+        (shap(), streaming(), pinned::SHAP_STREAMING_PRINT),
+    ] {
+        let (report, _) = driver(&w, &method, &kind);
+        let got = fingerprint(&report.explanations);
+        assert_eq!(got, print, "{} {}: {got:#018x}", kind.name(), method.name());
+    }
 }
 
 /// LIME / SHAP: every batch-shaped driver is the same computation.
@@ -242,11 +291,7 @@ fn anchor_batch_equals_batch_parallel_at_one_thread() {
 #[test]
 fn seeded_streaming_runs_repeat_with_pinned_bills() {
     let w = world();
-    let method = Method::Streaming(StreamingConfig {
-        refresh_every: 15,
-        tau: 30,
-        ..Default::default()
-    });
+    let method = streaming();
     for (kind, total) in [
         (lime(), pinned::LIME_STREAMING),
         (shap(), pinned::SHAP_STREAMING),
@@ -264,5 +309,130 @@ fn seeded_streaming_runs_repeat_with_pinned_bills() {
         assert_eq!(a_lineage, b_lineage, "{name}");
         assert_eq!(a.metrics.invocations, total, "{name} Streaming");
         assert_eq!(b.metrics.invocations, total, "{name} Streaming");
+    }
+}
+
+/// Counts a classifier's single-row calls and flat dispatches apart.
+struct Dispatches<'a> {
+    inner: &'a RandomForest,
+    single: AtomicU64,
+    flat: AtomicU64,
+    flat_rows: AtomicU64,
+}
+
+impl<'a> Dispatches<'a> {
+    fn new(inner: &'a RandomForest) -> Self {
+        Dispatches {
+            inner,
+            single: AtomicU64::new(0),
+            flat: AtomicU64::new(0),
+            flat_rows: AtomicU64::new(0),
+        }
+    }
+
+    /// `(single-row calls, flat dispatches, flat rows)` since the last take.
+    fn take(&self) -> (u64, u64, u64) {
+        (
+            self.single.swap(0, Ordering::Relaxed),
+            self.flat.swap(0, Ordering::Relaxed),
+            self.flat_rows.swap(0, Ordering::Relaxed),
+        )
+    }
+}
+
+impl Classifier for Dispatches<'_> {
+    fn predict_proba(&self, instance: &[Feature]) -> f64 {
+        self.single.fetch_add(1, Ordering::Relaxed);
+        self.inner.predict_proba(instance)
+    }
+
+    fn predict_proba_flat(&self, rows: &[Feature], n_attrs: usize) -> Vec<f64> {
+        self.flat.fetch_add(1, Ordering::Relaxed);
+        self.flat_rows
+            .fetch_add((rows.len() / n_attrs) as u64, Ordering::Relaxed);
+        self.inner.predict_proba_flat(rows, n_attrs)
+    }
+}
+
+/// What one tuple's explanation cost in dispatches: exactly the instance
+/// probe as a single-row call, and its fresh rows in one flat dispatch, or
+/// in none when nothing was fresh.
+fn assert_one_dispatch(what: &str, clf: &Dispatches<'_>, stats: ReuseStats) {
+    let (single, flat, rows) = clf.take();
+    assert_eq!(single, 1, "{what}: the instance probe only");
+    assert_eq!(flat, u64::from(stats.fresh > 0), "{what}: flat dispatches");
+    assert_eq!(rows, stats.fresh, "{what}: flat rows");
+    assert_eq!(stats.invocations, 1 + stats.fresh, "{what}: invocations");
+}
+
+#[test]
+fn each_tuple_labels_its_fresh_rows_in_at_most_one_dispatch() {
+    let w = world();
+    let clf = Dispatches::new(&w.forest);
+    let (ExplainerKind::Lime(lime), ExplainerKind::Shap(shap)) = (lime(), shap()) else {
+        unreachable!()
+    };
+    let (n_lime, n_shap) = (lime.params.n_samples, shap.params.n_samples);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for row in 0..w.batch.n_rows() {
+        let instance = w.batch.instance(row);
+        let codes = w.ctx.discretizer().encode_instance(&instance);
+        let what = |arm: &str| format!("row {row} {arm}");
+
+        // LIME: fresh, a partial pool, and a pool covering every row.
+        let pool =
+            labeled_perturbations_batch(&w.ctx, &w.forest, &Itemset::new(vec![]), n_lime, &mut rng);
+        for reused in [0, n_lime / 3, n_lime - 1, n_lime] {
+            let (_, stats) = lime.explain_with_reused_counted(
+                &w.ctx,
+                &clf,
+                &instance,
+                &pool[..reused],
+                &mut rng,
+            );
+            assert_eq!(stats.reused as usize, reused.min(n_lime - 1));
+            assert_one_dispatch(&what(&format!("LIME reusing {reused}")), &clf, stats);
+        }
+
+        // SHAP: no source, a store-backed source over singletons of the
+        // tuple's own codes, and a pool covering every coalition.
+        let (_, stats) = shap.explain_with_counted(
+            &w.ctx,
+            &clf,
+            &instance,
+            0.5,
+            Vec::new(),
+            &mut NoSource,
+            &mut rng,
+        );
+        assert_eq!(stats.fresh as usize, n_shap);
+        assert_one_dispatch(&what("SHAP fresh"), &clf, stats);
+
+        let singles = (0..6).map(|a| Itemset::new(vec![Item::new(a, codes[a])]));
+        let mut store = PerturbationStore::new(singles.collect(), usize::MAX);
+        store.materialize(&w.ctx, &w.forest, 20, &mut rng);
+        let mut source = StoreCoalitionSource::new(&store, (0..6).collect());
+        let (_, stats) = shap.explain_with_counted(
+            &w.ctx,
+            &clf,
+            &instance,
+            0.5,
+            Vec::new(),
+            &mut source,
+            &mut rng,
+        );
+        assert_eq!(stats.reused, source.hits());
+        assert_one_dispatch(&what("SHAP from the store"), &clf, stats);
+
+        let full: Vec<CoalitionSample> = (0..n_shap)
+            .map(|i| CoalitionSample {
+                coalition: vec![(i % codes.len()) as u16],
+                proba: 0.5,
+            })
+            .collect();
+        let (_, stats) =
+            shap.explain_with_counted(&w.ctx, &clf, &instance, 0.5, full, &mut NoSource, &mut rng);
+        assert_eq!(stats.fresh, 0);
+        assert_one_dispatch(&what("SHAP fully pooled"), &clf, stats);
     }
 }
