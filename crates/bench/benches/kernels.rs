@@ -46,6 +46,21 @@ fn bench_apriori(c: &mut Criterion) {
     c.bench_function("fim/apriori_1000x30", |b| {
         b.iter(|| apriori(&table, &params))
     });
+    // One streaming refresh window at `StreamingConfig`'s defaults: 100
+    // discretized Census-Income rows (42 attributes).
+    let (data, _) = DatasetPreset::CensusIncome.spec(0.05).generate(10);
+    let mut rng = StdRng::seed_from_u64(11);
+    let ctx = ExplainContext::fit(&data, 500, &mut rng);
+    let rows: Vec<usize> = (0..100).collect();
+    let window = ctx.discretizer().encode_dataset(&data.select(&rows));
+    let params = AprioriParams {
+        min_support: 0.15,
+        max_len: 3,
+        max_itemsets: 200,
+    };
+    c.bench_function("fim/apriori_100x42", |b| {
+        b.iter(|| apriori(&window, &params))
+    });
 }
 
 fn bench_index(c: &mut Criterion) {

@@ -115,15 +115,11 @@ impl TaggedLruCache {
         self.used_bytes += need;
     }
 
-    /// Clones every cached sample without disturbing the cache. The
-    /// streaming refresh carries samples from clones so the warm-up cache
-    /// keeps serving if the rebuild fails partway.
-    pub fn samples_cloned(&self) -> Vec<LabeledSample> {
-        let mut out = Vec::with_capacity(self.n_samples());
-        for b in self.buckets.values() {
-            out.extend(b.samples.iter().cloned());
-        }
-        out
+    /// Every cached sample, in tag order, without disturbing the cache. The
+    /// streaming refresh carries samples over by reference, so the warm-up
+    /// cache keeps serving if the rebuild fails partway.
+    pub fn samples(&self) -> impl Iterator<Item = &LabeledSample> {
+        self.buckets.values().flat_map(|b| &b.samples)
     }
 
     /// Removes and returns every cached sample (used when the streaming
@@ -269,7 +265,7 @@ mod tests {
         cache.insert(&[5, 9], sample(&[4, 0], 0.3));
         cache.insert(&[3, 8], sample(&[3, 1], 0.4));
         let expected = vec![0.3, 0.2, 0.4, 0.1];
-        assert_eq!(probas(cache.samples_cloned()), expected);
+        assert_eq!(probas(cache.samples().cloned().collect()), expected);
         // A truncated lookup walks the same order.
         let hits: Vec<f64> = cache.lookup(&[3, 9], 2).iter().map(|s| s.proba).collect();
         assert_eq!(hits, vec![0.3, 0.2]);

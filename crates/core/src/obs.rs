@@ -36,6 +36,9 @@ pub mod names {
     pub const SPAN_SURROGATE_FIT: &str = "surrogate.fit";
     /// One Anchor beam search (span).
     pub const SPAN_ANCHOR_SEARCH: &str = "anchor.search";
+    /// Routing one streamed tuple's fresh labeled samples into the
+    /// repository or the warm-up cache (span).
+    pub const SPAN_STREAMING_ABSORB: &str = "streaming.absorb";
 
     /// Store lookups ([`crate::PerturbationStore::matching`] calls).
     pub const STORE_LOOKUPS: &str = "store.lookups";
@@ -61,6 +64,11 @@ pub mod names {
     pub const STREAMING_EARLY_EVICTIONS: &str = "streaming.early_evictions";
     /// Samples carried into a rebuilt store at refresh.
     pub const STREAMING_CARRIED_SAMPLES: &str = "streaming.carried_samples";
+    /// Fresh labeled samples handed to the streaming absorb step, whether
+    /// routed into an entry, cached during warm-up, or dropped because
+    /// every matching entry was full. `span.streaming.absorb`'s sum divided
+    /// by this is the routing cost per sample.
+    pub const STREAMING_ABSORBED_SAMPLES: &str = "streaming.absorbed_samples";
     /// Refresh rounds that failed (panic mid-rebuild); the stream keeps
     /// serving from the stale store and retries next window.
     pub const STREAMING_REFRESH_FAILURES: &str = "streaming.refresh_failures";
@@ -287,6 +295,7 @@ pub fn register_standard(reg: &MetricsRegistry) {
         names::SPAN_RETRIEVE_MATCH,
         names::SPAN_SURROGATE_FIT,
         names::SPAN_ANCHOR_SEARCH,
+        names::SPAN_STREAMING_ABSORB,
     ] {
         reg.span_histogram(span);
     }
@@ -300,6 +309,7 @@ pub fn register_standard(reg: &MetricsRegistry) {
         names::STREAMING_REFRESH_ROUNDS,
         names::STREAMING_EARLY_EVICTIONS,
         names::STREAMING_CARRIED_SAMPLES,
+        names::STREAMING_ABSORBED_SAMPLES,
         names::STREAMING_REFRESH_FAILURES,
         names::CLASSIFIER_INVOCATIONS,
         names::CLASSIFIER_BATCH_CALLS,

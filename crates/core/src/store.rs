@@ -497,10 +497,34 @@ impl PerturbationStore {
     }
 
     /// Ids of all tracked itemsets contained in `codes`, including entries
-    /// without materialized samples, without touching LRU state. Used when
-    /// routing freshly generated samples into the store.
+    /// without materialized samples, without touching LRU state.
     pub fn matching_all(&self, codes: &[u32], scratch: &mut MatchScratch) -> Vec<u32> {
         self.contained_ids(codes, scratch)
+    }
+
+    /// Where a labeled sample with `codes` should go: the least-stocked
+    /// entry holding fewer than `cap` samples whose itemset `codes`
+    /// contains, the lowest id on ties — the first minimum of the
+    /// [`PerturbationStore::matching_all`] ids under `n < cap`. `None` when
+    /// no such entry exists. Reads no LRU state.
+    ///
+    /// Walks the dense sample-count lane and tests containment only on
+    /// entries below both `cap` and the best count found so far, so a store
+    /// whose entries are mostly full costs a scan of one `u32` lane.
+    pub fn route(&self, codes: &[u32], cap: usize) -> Option<u32> {
+        let mut best = None;
+        let mut bound = cap;
+        for (id, &n) in self.n_samples.iter().enumerate() {
+            let n = n as usize;
+            if n < bound && self.itemsets[id].contained_in(codes) {
+                best = Some(id as u32);
+                bound = n;
+                if bound == 0 {
+                    break; // nothing can be below an empty entry
+                }
+            }
+        }
+        best
     }
 
     /// Flattens and removes every materialized sample (used when the
@@ -1079,6 +1103,50 @@ mod tests {
             prop_assert_eq!(loaded.peak_bytes, store.peak_bytes);
             for id in 0..sets.len() as u32 {
                 prop_assert_eq!(loaded.samples(id), store.samples(id));
+            }
+        }
+
+        /// `route` answers what the containment scan it replaced did — the
+        /// first least-stocked matching entry below the cap — on stores with
+        /// tied counts and entries emptied by LRU eviction, for caps of 0,
+        /// at and around the fullest entry, and unbounded.
+        #[test]
+        fn route_equals_the_containment_scan(
+            inserts in proptest::collection::vec(
+                (0u32..12, proptest::collection::vec(0u32..3, 5)), 0..80),
+            budget_samples in 4usize..60,
+            rows in proptest::collection::vec(proptest::collection::vec(0u32..3, 5), 1..16),
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let mut sets = Vec::new();
+            for a in 0..5usize {
+                for c in 0..2u32 {
+                    sets.push(Itemset::new(vec![Item::new(a, c)]));
+                }
+            }
+            sets.push(Itemset::new(vec![Item::new(0, 0), Item::new(1, 0)]));
+            sets.push(Itemset::new(vec![Item::new(2, 1), Item::new(3, 1)]));
+            let base: usize = sets.iter().map(Itemset::approx_bytes).sum();
+            let one = std::mem::size_of::<LabeledSample>() + 5 * std::mem::size_of::<u32>();
+            let mut store = PerturbationStore::new(sets.clone(), base + budget_samples * one);
+            for (id, mut codes) in inserts {
+                let id = id % sets.len() as u32;
+                for item in sets[id as usize].items() {
+                    codes[item.attr as usize] = item.code;
+                }
+                store.insert(id, LabeledSample { codes: codes.into_boxed_slice(), proba: 0.5 });
+            }
+            let fullest = (0..sets.len() as u32).map(|id| store.samples(id).len()).max().unwrap_or(0);
+            let mut scratch = MatchScratch::new();
+            for row in &rows {
+                for cap in [0, 1, 2, fullest, fullest + 1, usize::MAX] {
+                    let scan = store
+                        .matching_all(row, &mut scratch)
+                        .into_iter()
+                        .filter(|&id| store.samples(id).len() < cap)
+                        .min_by_key(|&id| store.samples(id).len());
+                    prop_assert_eq!(store.route(row, cap), scan, "cap {}", cap);
+                }
             }
         }
     }

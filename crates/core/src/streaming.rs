@@ -12,6 +12,7 @@
 //! materialized perturbations. Each tuple itself goes through the same
 //! per-tuple [`crate::kernel`] as every other driver.
 
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -21,7 +22,7 @@ use shahin_explain::{
     AnchorExplainer, AnchorExplanation, ExplainContext, FeatureWeights, KernelShapExplainer,
     LabeledSample, LimeExplainer,
 };
-use shahin_fim::{apriori, AprioriParams, Itemset, MatchScratch};
+use shahin_fim::{apriori, AprioriParams, Itemset, MatchScratch, Tidsets};
 use shahin_model::{Classifier, CountingClassifier};
 use shahin_tabular::{Dataset, DiscreteTable};
 
@@ -61,6 +62,8 @@ struct StreamObs {
     registry: MetricsRegistry,
     fim: Histogram,
     fill: Histogram,
+    absorb: Histogram,
+    absorbed_samples: Counter,
     refresh_rounds: Counter,
     refresh_failures: Counter,
     carried_samples: Counter,
@@ -75,6 +78,8 @@ impl StreamObs {
             registry: registry.clone(),
             fim: registry.span_histogram(names::SPAN_FIM_MINE),
             fill: registry.span_histogram(names::SPAN_MATERIALIZE_FILL),
+            absorb: registry.span_histogram(names::SPAN_STREAMING_ABSORB),
+            absorbed_samples: registry.counter(names::STREAMING_ABSORBED_SAMPLES),
             refresh_rounds: registry.counter(names::STREAMING_REFRESH_ROUNDS),
             refresh_failures: registry.counter(names::STREAMING_REFRESH_FAILURES),
             carried_samples: registry.counter(names::STREAMING_CARRIED_SAMPLES),
@@ -108,7 +113,6 @@ struct StreamState {
     fim_time: Duration,
     materialization_time: Duration,
     peak_bytes: usize,
-    scratch: MatchScratch,
 }
 
 impl StreamState {
@@ -135,24 +139,20 @@ impl StreamState {
             fim_time: Duration::ZERO,
             materialization_time: Duration::ZERO,
             peak_bytes: 0,
-            scratch: MatchScratch::new(),
         }
     }
 
     /// Routes freshly generated, already-labeled samples into the current
     /// repository.
     fn absorb(&mut self, tuple_codes: &[u32], samples: Vec<LabeledSample>) {
+        let _span = self.obs.absorb.start();
+        self.obs.absorbed_samples.add(samples.len() as u64);
         match &mut self.store {
             Some(store) => {
+                // Fill the least-stocked tracked itemset below τ this
+                // sample can serve.
                 for s in samples {
-                    let ids = store.matching_all(&s.codes, &mut self.scratch);
-                    // Fill the least-stocked tracked itemset this sample
-                    // can serve.
-                    if let Some(&id) = ids
-                        .iter()
-                        .filter(|&&id| store.samples(id).len() < self.effective_tau)
-                        .min_by_key(|&&id| store.samples(id).len())
-                    {
+                    if let Some(id) = store.route(&s.codes, self.effective_tau) {
                         store.insert(id, s);
                     }
                 }
@@ -196,26 +196,25 @@ impl StreamState {
             .max(1e-9);
         let mut tracked: Vec<Itemset> = mined.frequent.into_iter().map(|(s, _)| s).collect();
         // Promote negative-border itemsets that turned frequent in this
-        // window even if the miner's cap dropped them.
-        let min_count = (self.config.min_support * self.window.len() as f64).ceil() as usize;
-        for nb in self
-            .negative_border
-            .iter()
-            .filter(|_| self.config.track_negative_border)
-        {
-            if tracked.contains(nb) {
-                continue;
+        // window even if the miner's cap dropped them, in border order and
+        // only up to the cap (the miner already truncated `tracked` to it).
+        let cap = self.config.max_itemsets;
+        if self.config.track_negative_border && tracked.len() < cap {
+            let min_count =
+                ((self.config.min_support * self.window.len() as f64).ceil() as u64).max(1);
+            let tids = Tidsets::new(&table);
+            let already: HashSet<&Itemset> = tracked.iter().collect();
+            let mut promoted = Vec::new();
+            for nb in &self.negative_border {
+                if tracked.len() + promoted.len() == cap {
+                    break;
+                }
+                if !already.contains(nb) && tids.support(nb) >= min_count {
+                    promoted.push(nb);
+                }
             }
-            let count = self
-                .window
-                .iter()
-                .filter(|codes| nb.contained_in(codes))
-                .count();
-            if count >= min_count.max(1) {
-                tracked.push(nb.clone());
-            }
+            tracked.extend(promoted.into_iter().cloned());
         }
-        tracked.truncate(self.config.max_itemsets);
         self.negative_border = if self.config.track_negative_border {
             mined.negative_border
         } else {
@@ -228,24 +227,19 @@ impl StreamState {
         let mut new_store = PerturbationStore::new(tracked, self.config.memory_budget_bytes);
         new_store.attach_obs(&self.obs.registry);
         // Carry over every sample that still serves a tracked itemset
-        // ("If not, we purge that perturbation", §3.5). The carry works on
-        // *clones* so the live repository and warm-up cache keep serving
-        // unchanged if materialization fails below.
-        let mut old: Vec<LabeledSample> = self.early.samples_cloned();
-        if let Some(prev) = &self.store {
-            for id in 0..prev.len() as u32 {
-                old.extend(prev.samples(id).iter().cloned());
-            }
-        }
+        // ("If not, we purge that perturbation", §3.5): warm-up samples in
+        // tag order, then the old store's in id order. Samples are routed
+        // by reference and only the inserted ones cloned, so the live
+        // repository and warm-up cache keep serving unchanged if
+        // materialization fails below.
+        let previous = self
+            .store
+            .iter()
+            .flat_map(|prev| (0..prev.len() as u32).flat_map(move |id| prev.samples(id)));
         let mut carried = 0u64;
-        for s in old {
-            let ids = new_store.matching_all(&s.codes, &mut self.scratch);
-            if let Some(&id) = ids
-                .iter()
-                .filter(|&&id| new_store.samples(id).len() < self.config.tau)
-                .min_by_key(|&&id| new_store.samples(id).len())
-            {
-                new_store.insert(id, s);
+        for s in self.early.samples().chain(previous) {
+            if let Some(id) = new_store.route(&s.codes, self.config.tau) {
+                new_store.insert(id, s.clone());
                 carried += 1;
             }
         }
@@ -579,6 +573,12 @@ mod tests {
             snap.histograms["span.retrieve.match"].count,
             stream.n_rows() as u64
         );
+        // One absorb per tuple, fed by its fresh labels.
+        assert_eq!(
+            snap.histograms["span.streaming.absorb"].count,
+            stream.n_rows() as u64
+        );
+        assert!(snap.counter("streaming.absorbed_samples") > 0);
         // Warm-up samples get carried into the first rebuilt store.
         assert!(snap.counter("streaming.carried_samples") > 0);
         // Spans and RunMetrics agree on the aggregated phase times.

@@ -11,7 +11,8 @@
 //! * [`Item`] / [`Itemset`] — `attribute = discretized-code` pairs,
 //! * [`apriori()`] — level-wise Apriori mining over a [`DiscreteTable`],
 //!   returning frequent itemsets *and* their negative border (needed by the
-//!   streaming variant, paper §3.5),
+//!   streaming variant, paper §3.5), with support counted on per-item row
+//!   bitsets ([`Tidsets`]),
 //! * [`ItemsetIndex`] — a postings-list index answering "which frequent
 //!   itemsets are contained in this tuple?" in time proportional to the
 //!   matching postings,
@@ -30,7 +31,7 @@ pub mod index;
 pub mod item;
 pub mod sample;
 
-pub use apriori::{apriori, AprioriParams, AprioriResult};
+pub use apriori::{apriori, AprioriParams, AprioriResult, Tidsets};
 pub use bitset::{BitsetDomain, MatchScratch};
 pub use fpgrowth::fpgrowth;
 pub use index::ItemsetIndex;

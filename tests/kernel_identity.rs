@@ -9,6 +9,9 @@
 //! * Anchor: `Batch` equals `BatchParallel` at one thread (more threads
 //!   race on the shared caches);
 //! * two seeded `Streaming` runs are equal;
+//! * a `Streaming` run whose byte budget binds — so LRU eviction and
+//!   budgeted carry-over both run — keeps its LIME and SHAP explanations
+//!   and invocation totals;
 //! * every (driver × explainer) invocation total, as an exact integer;
 //! * LIME's and SHAP's explanations under `Batch` and `Streaming`, bit for
 //!   bit, as fingerprints;
@@ -198,6 +201,12 @@ mod pinned {
     pub const LIME_STREAMING_PRINT: u64 = 0x6ecd_5624_eb6d_4f74;
     pub const SHAP_BATCH_PRINT: u64 = 0x1360_4999_d7b1_f9ed;
     pub const SHAP_STREAMING_PRINT: u64 = 0x755c_6123_8b44_d46c;
+    /// [`super::budgeted_streaming`]'s totals and fingerprints, measured
+    /// while samples were still routed by a full containment scan.
+    pub const LIME_BUDGETED: u64 = 2_715;
+    pub const SHAP_BUDGETED: u64 = 2_014;
+    pub const LIME_BUDGETED_PRINT: u64 = 0x8da4_c0e5_84ec_6f54;
+    pub const SHAP_BUDGETED_PRINT: u64 = 0x83d8_175e_fc31_6435;
 }
 
 /// FNV-1a over the bit patterns of every weight, intercept and local
@@ -219,6 +228,57 @@ fn streaming() -> Method {
         tau: 30,
         ..Default::default()
     })
+}
+
+/// [`streaming`] under a repository budget a few dozen samples deep, so
+/// absorbing fresh rows evicts entries and every refresh carries samples
+/// into a store that fills up.
+fn budgeted_streaming() -> Method {
+    Method::Streaming(StreamingConfig {
+        memory_budget_bytes: 64 << 10,
+        refresh_every: 15,
+        tau: 30,
+        ..Default::default()
+    })
+}
+
+#[test]
+fn budgeted_streaming_evicts_carries_over_and_keeps_its_pins() {
+    let w = world();
+    for (kind, total, print) in [
+        (lime(), pinned::LIME_BUDGETED, pinned::LIME_BUDGETED_PRINT),
+        (shap(), pinned::SHAP_BUDGETED, pinned::SHAP_BUDGETED_PRINT),
+    ] {
+        let reg = MetricsRegistry::new();
+        let clf = CountingClassifier::new(w.forest.clone());
+        let report = run_with_obs(
+            &budgeted_streaming(),
+            &kind,
+            &w.ctx,
+            &clf,
+            &w.batch,
+            SEED,
+            &reg,
+        );
+        let name = kind.name();
+        assert!(
+            report.report.is_clean(),
+            "{name}: {}",
+            report.report.summary()
+        );
+        let snap = reg.snapshot();
+        assert!(
+            snap.counter("store.evictions") > 0,
+            "{name}: the budget never bound"
+        );
+        assert!(
+            snap.counter("streaming.carried_samples") > 0,
+            "{name}: nothing carried"
+        );
+        let got = fingerprint(&report.explanations);
+        assert_eq!(report.metrics.invocations, total, "{name}");
+        assert_eq!(got, print, "{name}: {got:#018x}");
+    }
 }
 
 #[test]
