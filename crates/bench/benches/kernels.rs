@@ -1,6 +1,6 @@
-//! Criterion microbenchmarks for Shahin's hot kernels: mining, index
-//! lookup, perturbation generation, store retrieval, and the surrogate
-//! solvers.
+//! Criterion microbenchmarks for Shahin's hot kernels: mining,
+//! perturbation generation, store retrieval, the surrogate solvers and
+//! the forest.
 
 use std::time::Duration;
 
@@ -8,13 +8,13 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use shahin::{MatchEngine, PerturbationStore};
+use shahin::PerturbationStore;
 use shahin_explain::{perturb_codes, ExplainContext};
-use shahin_fim::{apriori, AprioriParams, Itemset, ItemsetIndex, MatchScratch};
+use shahin_fim::{apriori, AprioriParams, Itemset, MatchScratch};
 use shahin_linalg::{
     constrained_wls, constrained_wls_binary, ridge, ridge_binary, BitDesign, Matrix,
 };
-use shahin_model::{Classifier, ForestLayout, ForestParams, MajorityClass, RandomForest};
+use shahin_model::{Classifier, ForestParams, MajorityClass, RandomForest};
 use shahin_tabular::{DatasetPreset, DiscreteTable};
 
 fn synth_table(n_rows: usize, n_attrs: usize, seed: u64) -> DiscreteTable {
@@ -63,25 +63,6 @@ fn bench_apriori(c: &mut Criterion) {
     });
 }
 
-fn bench_index(c: &mut Criterion) {
-    let table = synth_table(1000, 30, 1);
-    let mined = apriori(
-        &table,
-        &AprioriParams {
-            min_support: 0.2,
-            max_len: 3,
-            max_itemsets: 200,
-        },
-    );
-    let sets: Vec<Itemset> = mined.frequent.into_iter().map(|(s, _)| s).collect();
-    let index = ItemsetIndex::new(&sets);
-    let row = table.row(0);
-    let mut scratch = Vec::new();
-    c.bench_function("fim/index_contained_in", |b| {
-        b.iter(|| index.contained_in_with(&row, &mut scratch))
-    });
-}
-
 fn bench_perturbation(c: &mut Criterion) {
     let (data, _) = DatasetPreset::CensusIncome.spec(0.05).generate(2);
     let mut rng = StdRng::seed_from_u64(3);
@@ -116,10 +97,6 @@ fn bench_store(c: &mut Criterion) {
     let row = table.row(0);
     let mut scratch = MatchScratch::new();
     c.bench_function("store/matching", |b| {
-        b.iter(|| store.matching(&row, &mut scratch))
-    });
-    store.set_match_engine(MatchEngine::Postings);
-    c.bench_function("store/matching_postings", |b| {
         b.iter(|| store.matching(&row, &mut scratch))
     });
 }
@@ -176,20 +153,11 @@ fn bench_forest(c: &mut Criterion) {
     c.bench_function("model/rf_predict_chunk16", |b| {
         b.iter(|| forest.predict_proba_flat(&chunk, data.n_attrs()))
     });
-    // The same forest under both layouts, single row and a small batch:
-    // the flat CSR arena vs the nested per-tree `Vec<Node>` arenas.
-    let nested = forest.clone().with_layout(ForestLayout::Nested);
-    c.bench_function("model/rf_predict_nested", |b| {
-        b.iter(|| nested.predict_proba(&inst))
-    });
     let rows: Vec<Vec<_>> = (0..100.min(data.n_rows()))
         .map(|r| data.instance(r))
         .collect();
-    c.bench_function("model/rf_batch100_flat_layout", |b| {
+    c.bench_function("model/rf_batch100", |b| {
         b.iter(|| forest.predict_batch_with(&rows, 1))
-    });
-    c.bench_function("model/rf_batch100_nested_layout", |b| {
-        b.iter(|| nested.predict_batch_with(&rows, 1))
     });
     c.bench_function("model/rf_train_25trees", |b| {
         b.iter_batched(
@@ -206,7 +174,7 @@ criterion_group! {
         .sample_size(10)
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(500));
-    targets = bench_apriori, bench_index, bench_perturbation, bench_store,
+    targets = bench_apriori, bench_perturbation, bench_store,
               bench_solvers, bench_forest
 }
 criterion_main!(benches);

@@ -52,14 +52,6 @@
 //!   beats the cold start by `SHAHIN_CMP_MIN_HYDRATED_SPEEDUP` (default
 //!   2.0); keepalive throughput and cold-start latency may drift at most
 //!   the wall tolerance against the baseline.
-//! * `layout` — inside the fresh run, both layout arms must agree
-//!   bit-for-bit (invocations, explanation fingerprints, lookup counts;
-//!   parallel Anchor invocations get the Anchor tolerance); deterministic
-//!   cells must reproduce the baseline's invocation counts exactly; wall
-//!   times may drift at most the wall tolerance; the artifact's best cell
-//!   must reach `SHAHIN_CMP_MIN_MATCH_SPEEDUP` (default 1.5) on the
-//!   `retrieve.match` span; and per explainer the best thread cell must
-//!   reach `SHAHIN_CMP_MIN_WALL_SPEEDUP` (default 0.9) end-to-end.
 //!
 //! Tolerances are percentages read from the environment so CI can tighten
 //! or relax them without a rebuild. Defaults are generous on wall time
@@ -387,7 +379,12 @@ fn compare_trace(gate: &mut Gate, base: &Json, fresh: &Json) -> Result<(), Strin
 fn compare_persist(gate: &mut Gate, base: &Json, fresh: &Json) -> Result<(), String> {
     let tol_wall = env_f64("SHAHIN_CMP_TOL_WALL_PCT", 75.0);
     let min_speedup = env_f64("SHAHIN_CMP_MIN_RESTART_SPEEDUP", 2.0);
-    check_same_workload(gate, base, fresh, &["dataset", "requests", "warm_rows", "seed"])?;
+    check_same_workload(
+        gate,
+        base,
+        fresh,
+        &["dataset", "requests", "warm_rows", "seed"],
+    )?;
 
     // The headline claim, inside the fresh run itself: hydrating from a
     // snapshot restarts warm — no classifier calls, same explanations,
@@ -477,11 +474,16 @@ fn compare_tenancy(gate: &mut Gate, base: &Json, fresh: &Json) -> Result<(), Str
     let cold_starts = num(fresh, &["cold_starts"], "fresh")?;
     gate.check(
         cold_starts >= 2.0 * tenants,
-        format!("{cold_starts} cold starts cover first touch and re-admission of {tenants} tenants"),
+        format!(
+            "{cold_starts} cold starts cover first touch and re-admission of {tenants} tenants"
+        ),
     );
     for key in ["evictions", "hydrations"] {
         let v = num(fresh, &[key], "fresh")?;
-        gate.check(v >= tenants, format!("{key} {v} cover all {tenants} tenants"));
+        gate.check(
+            v >= tenants,
+            format!("{key} {v} cover all {tenants} tenants"),
+        );
     }
     let cold_ms = num(fresh, &["cold_start_ms"], "fresh")?;
     let keepalive_ms = num(fresh, &["keepalive", "mean_ms"], "fresh")?;
@@ -510,115 +512,10 @@ fn compare_tenancy(gate: &mut Gate, base: &Json, fresh: &Json) -> Result<(), Str
     Ok(())
 }
 
-fn compare_layout(gate: &mut Gate, base: &Json, fresh: &Json) -> Result<(), String> {
-    let tol_wall = env_f64("SHAHIN_CMP_TOL_WALL_PCT", 75.0);
-    let tol_anchor = env_f64("SHAHIN_CMP_TOL_ANCHOR_PCT", 15.0);
-    let min_match = env_f64("SHAHIN_CMP_MIN_MATCH_SPEEDUP", 1.5);
-    let min_wall = env_f64("SHAHIN_CMP_MIN_WALL_SPEEDUP", 0.9);
-    check_same_workload(gate, base, fresh, &["dataset", "batch", "seed"])?;
-
-    let explainers = base
-        .get("explainers")
-        .and_then(Json::as_obj)
-        .ok_or("baseline has no 'explainers' object")?;
-    // The headline ≥1.5x retrieve.match claim is gated on the best cell
-    // of the whole artifact: a shared CI runner timeslices the
-    // multi-thread cells and LIME's back-to-back lookups run against warm
-    // caches that dilute the span ratio, but the engine's advantage must
-    // show up clearly somewhere (in practice in the Anchor cells, whose
-    // interleaved classifier work is exactly the motivating workload).
-    let mut best_match = 0.0f64;
-    for (name, base_e) in explainers {
-        let fresh_e = fresh
-            .at(&["explainers", name])
-            .ok_or_else(|| format!("fresh run is missing explainer '{name}'"))?;
-        let threads = base_e
-            .get("threads")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| format!("baseline '{name}' has no 'threads' object"))?;
-        let mut best_wall = 0.0f64;
-        for (t, base_t) in threads {
-            let fresh_t = fresh_e
-                .at(&["threads", t])
-                .ok_or_else(|| format!("fresh '{name}' is missing thread count {t}"))?;
-            // Parallel Anchor invocation counts race (parallel.rs); every
-            // other cell is bit-deterministic.
-            let deterministic = name != "Anchor" || t == "1";
-
-            // Cross-arm identity inside the fresh run: both layouts saw
-            // the same tuples and produced the same explanations.
-            let f_leg_inv = num(fresh_t, &["legacy", "invocations"], "fresh")?;
-            let f_flat_inv = num(fresh_t, &["flat", "invocations"], "fresh")?;
-            if deterministic {
-                gate.check(
-                    f_leg_inv == f_flat_inv,
-                    format!(
-                        "{name} x{t} invocations identical across layouts \
-                         ({f_flat_inv} vs legacy {f_leg_inv})"
-                    ),
-                );
-                let f_leg_fp = fresh_t.at(&["legacy", "fingerprint"]);
-                let f_flat_fp = fresh_t.at(&["flat", "fingerprint"]);
-                gate.check(
-                    f_leg_fp.is_some() && f_leg_fp == f_flat_fp,
-                    format!("{name} x{t} explanation fingerprints identical across layouts"),
-                );
-            } else {
-                let drift = 100.0 * (f_flat_inv - f_leg_inv).abs() / f_leg_inv.max(1.0);
-                gate.check(
-                    drift <= tol_anchor,
-                    format!(
-                        "{name} x{t} invocations {f_flat_inv} within {tol_anchor}% of \
-                         legacy arm {f_leg_inv} (drift {drift:.1}%)"
-                    ),
-                );
-            }
-            let f_leg_cnt = num(fresh_t, &["legacy", "match_count"], "fresh")?;
-            let f_flat_cnt = num(fresh_t, &["flat", "match_count"], "fresh")?;
-            gate.check(
-                f_leg_cnt == f_flat_cnt,
-                format!("{name} x{t} lookup count identical across layouts ({f_flat_cnt})"),
-            );
-
-            // Against the committed baseline: deterministic cells must
-            // reproduce exactly, wall times may drift within tolerance.
-            if deterministic {
-                let b_inv = num(base_t, &["flat", "invocations"], "baseline")?;
-                gate.check(
-                    b_inv == f_flat_inv,
-                    format!("{name} x{t} invocations {f_flat_inv} (baseline {b_inv}, exact)"),
-                );
-            }
-            for arm in ["legacy", "flat"] {
-                let b_wall = num(base_t, &[arm, "wall_s"], "baseline")?;
-                let f_wall = num(fresh_t, &[arm, "wall_s"], "fresh")?;
-                gate.check(
-                    f_wall <= b_wall * (1.0 + tol_wall / 100.0),
-                    format!(
-                        "{name} x{t} {arm} wall {f_wall:.3}s within {tol_wall}% of \
-                         baseline {b_wall:.3}s"
-                    ),
-                );
-            }
-            best_match = best_match.max(num(fresh_t, &["match_speedup"], "fresh")?);
-            best_wall = best_wall.max(num(fresh_t, &["wall_speedup"], "fresh")?);
-        }
-        gate.check(
-            best_wall >= min_wall,
-            format!("{name} best wall speedup {best_wall:.2}x >= {min_wall:.2}x"),
-        );
-    }
-    gate.check(
-        best_match >= min_match,
-        format!("best retrieve.match speedup {best_match:.2}x >= {min_match:.2}x"),
-    );
-    Ok(())
-}
-
 fn run(args: &[String]) -> Result<Vec<String>, String> {
     let [kind, base_path, fresh_path] = args else {
         return Err(
-            "usage: bench_compare <parallel|obs|serve|obs_live|trace|persist|tenancy|layout> \
+            "usage: bench_compare <parallel|obs|serve|obs_live|trace|persist|tenancy> \
              <baseline.json> <fresh.json>"
                 .into(),
         );
@@ -635,7 +532,6 @@ fn run(args: &[String]) -> Result<Vec<String>, String> {
         "trace" => compare_trace(&mut gate, &base, &fresh)?,
         "persist" => compare_persist(&mut gate, &base, &fresh)?,
         "tenancy" => compare_tenancy(&mut gate, &base, &fresh)?,
-        "layout" => compare_layout(&mut gate, &base, &fresh)?,
         other => return Err(format!("unknown artifact kind '{other}'")),
     }
     println!(

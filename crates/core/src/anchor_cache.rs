@@ -126,16 +126,6 @@ impl SharedAnchorCaches {
         self.shards[idx].lock()
     }
 
-    /// Number of rules with cached precision counts.
-    pub fn n_precision_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().precision.len()).sum()
-    }
-
-    /// Number of rules with memoized coverage.
-    pub fn n_coverage_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().coverage.len()).sum()
-    }
-
     /// Serializes every shard's precision counts, memoized coverage and
     /// bootstrap marks into one flat payload. Entries are sorted by rule so
     /// the bytes are deterministic regardless of `HashMap` iteration order
@@ -201,7 +191,10 @@ impl SharedAnchorCaches {
                 return Err(corrupt("positive count exceeds sample count"));
             }
             let idx = SharedAnchorCaches::shard_index(&rule);
-            caches.shards[idx].lock().precision.insert(rule.clone(), (n, pos));
+            caches.shards[idx]
+                .lock()
+                .precision
+                .insert(rule.clone(), (n, pos));
             prev = Some(rule);
         }
         prev = None;
@@ -397,6 +390,12 @@ impl<C: Classifier> RuleSampler for CachingRuleSampler<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Rules with cached precision counts and with memoized coverage.
+    fn entries(caches: &SharedAnchorCaches) -> (usize, usize) {
+        let count = |f: fn(&CacheShard) -> usize| caches.shards.iter().map(|s| f(&s.lock())).sum();
+        (count(|s| s.precision.len()), count(|s| s.coverage.len()))
+    }
     use rand::Rng;
     use shahin_fim::Item;
     use shahin_model::{CountingClassifier, MajorityClass};
@@ -499,7 +498,7 @@ mod tests {
         let c2 = s.coverage(&rule);
         assert_eq!(c1, c2);
         assert!((0.2..0.5).contains(&c1), "coverage {c1}");
-        assert_eq!(s.caches.n_coverage_entries(), 1);
+        assert_eq!(entries(s.caches).1, 1);
     }
 
     #[test]
@@ -574,8 +573,6 @@ mod tests {
         let reg = MetricsRegistry::new();
         let loaded = SharedAnchorCaches::load_snapshot(&payload, &reg).expect("valid payload");
         assert_eq!(loaded.dump_snapshot(), payload, "reserialization identical");
-        assert_eq!(loaded.n_precision_entries(), caches.n_precision_entries());
-        assert_eq!(loaded.n_coverage_entries(), caches.n_coverage_entries());
         // A sampler over the loaded caches sees the donor's evidence as
         // free priors, not as cache misses to recompute.
         let clf2 = CountingClassifier::new(MajorityClass::fit(&[1]));
@@ -646,8 +643,6 @@ mod tests {
             let reg = MetricsRegistry::new();
             let loaded = SharedAnchorCaches::load_snapshot(&payload, &reg).expect("own dump loads");
             prop_assert_eq!(loaded.dump_snapshot(), payload);
-            prop_assert_eq!(loaded.n_precision_entries(), caches.n_precision_entries());
-            prop_assert_eq!(loaded.n_coverage_entries(), caches.n_coverage_entries());
         }
     }
 
@@ -678,7 +673,7 @@ mod tests {
             }
         });
         assert_eq!(clf.invocations(), 8 * 3 * 5);
-        assert_eq!(caches.n_precision_entries(), 3);
+        assert_eq!(entries(&caches).0, 3);
         let mut s = CachingRuleSampler::new(&ctx, &clf, &store, &[], &caches, 999);
         for rule in &rules {
             // 8 threads × 5 draws each, all positive under MajorityClass(1).

@@ -7,10 +7,10 @@
 //! the tuple's materialized samples and hands them to the (unmodified)
 //! explainer's reuse-aware entry point. [`crate::Method::Batch`] explains
 //! the rows one after another on the calling thread;
-//! [`crate::Method::BatchParallel`] splits them into [`chunks`] over
-//! [`BatchConfig::n_threads`] workers (see [`crate::parallel`]).
+//! [`crate::Method::BatchParallel`] spreads blocks of them over
+//! [`BatchConfig::n_threads`] workers (`parallel::in_chunks`, see
+//! [`crate::parallel`]).
 
-use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -20,16 +20,16 @@ use shahin_explain::{
     AnchorExplainer, AnchorExplanation, ExplainContext, FeatureWeights, KernelShapExplainer,
     LimeExplainer,
 };
-use shahin_fim::{apriori, fpgrowth, sample_rows, AprioriParams, Itemset, MatchScratch};
+use shahin_fim::{apriori, sample_rows, AprioriParams, Itemset, MatchScratch};
 use shahin_model::{Classifier, CountingClassifier};
 use shahin_tabular::{Dataset, DiscreteTable};
 
 use crate::anchor_cache::SharedAnchorCaches;
-use crate::config::{BatchConfig, Miner};
+use crate::config::BatchConfig;
 use crate::kernel::{Kernel, Pool, Tuple, TupleWorker};
 use crate::metrics::{BatchResult, OverheadBreakdown, RunMetrics};
 use crate::obs::{names, ProvenanceCtx};
-use crate::parallel::chunks;
+use crate::parallel::in_chunks;
 use crate::quarantine::{collect_outcomes, QuarantineObs};
 use crate::runner::{ExplainerKind, RunReport, SHAP_BASE_SAMPLES};
 use crate::store::PerturbationStore;
@@ -98,10 +98,7 @@ impl ShahinBatch {
             max_len: self.config.max_itemset_len,
             max_itemsets: self.config.max_itemsets,
         };
-        let frequent = match self.config.miner {
-            Miner::Apriori => apriori(&sample, &fim_params).frequent,
-            Miner::FpGrowth => fpgrowth(&sample, &fim_params),
-        };
+        let frequent = apriori(&sample, &fim_params).frequent;
         // Expected number of materialized itemsets a random batch tuple
         // contains = Σ_f support(f); a tuple pools ~τ·E[matched] samples.
         let n_sample_rows = sample.n_rows() as f64;
@@ -115,7 +112,6 @@ impl ShahinBatch {
 
         let fill_span = self.obs.span(names::SPAN_MATERIALIZE_FILL);
         let mut store = PerturbationStore::new(itemsets, self.config.cache_budget_bytes);
-        store.set_match_engine(self.config.match_engine);
         store.attach_obs(&self.obs);
         // "The parameter τ is set automatically by Shahin based on the
         // resource constraints" (§3.1): τ only pays off up to the point
@@ -140,8 +136,8 @@ impl ShahinBatch {
 
     /// Runs `explainer` over `batch`: [`ShahinBatch::prepare`], the SHAP
     /// base value, then the per-tuple kernel over every row — on the
-    /// calling thread (`Shahin-Batch`), or, when `parallel`, in
-    /// [`chunks`] over [`BatchConfig::n_threads`] workers
+    /// calling thread (`Shahin-Batch`), or, when `parallel`, in blocks
+    /// claimed by [`BatchConfig::n_threads`] workers ([`in_chunks`])
     /// (`Shahin-Batch-Par{n}`). Both produce the same LIME and SHAP
     /// explanations and invocation counts at any thread count.
     pub(crate) fn explain<C: Classifier>(
@@ -260,41 +256,6 @@ impl ShahinBatch {
         self.explain(ctx, clf, batch, &kind, seed, false)
             .into_weights()
     }
-}
-
-/// Runs `work` over `0..n` split into [`chunks`] for `n_threads` workers
-/// and returns each chunk's result, in row order: on the calling thread
-/// when that is one chunk (one row, or one thread), otherwise on one
-/// scoped `worker-{i}` thread per chunk.
-pub(crate) fn in_chunks<R: Send>(
-    n: usize,
-    n_threads: usize,
-    work: impl Fn(Range<usize>) -> R + Sync,
-) -> Vec<R> {
-    let chunks = chunks(n, n_threads);
-    if chunks.len() <= 1 {
-        return chunks
-            .into_iter()
-            .map(|(start, end)| work(start..end))
-            .collect();
-    }
-    let work = &work;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(i, (start, end))| {
-                std::thread::Builder::new()
-                    .name(format!("worker-{i}"))
-                    .spawn_scoped(scope, move || work(start..end))
-                    .expect("spawn worker")
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    })
 }
 
 /// Estimates KernelSHAP's base value for a SHAP run (0.5, and no

@@ -1,19 +1,8 @@
 //! Configuration for the batch and streaming optimizers.
-
-use crate::store::MatchEngine;
-
-/// Which frequent itemset mining algorithm the batch optimizer uses.
-/// Both produce identical itemsets; FP-Growth avoids candidate generation
-/// and is faster on dense batches (the "smarter frequent itemset
-/// computation" the paper alludes to in §4.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Miner {
-    /// Level-wise Apriori (also yields the negative border).
-    #[default]
-    Apriori,
-    /// FP-tree based FP-Growth.
-    FpGrowth,
-}
+//!
+//! Frequent itemsets are mined with level-wise Apriori
+//! ([`shahin_fim::apriori()`]): streaming needs its negative border (§3.5),
+//! and on the batch samples it is also the fastest miner measured.
 
 /// Configuration of [`crate::ShahinBatch`].
 #[derive(Clone, Debug)]
@@ -37,8 +26,6 @@ pub struct BatchConfig {
     /// automatically by Shahin based on the resource constraints", §3.1).
     /// Disable to study a fixed τ (Figure 6).
     pub auto_tau: bool,
-    /// Mining algorithm.
-    pub miner: Miner,
     /// Worker threads for the parallel phases (materialization in
     /// `prepare`, and the per-tuple fan-out of `Method::BatchParallel`).
     /// `None` (the default) uses
@@ -46,11 +33,6 @@ pub struct BatchConfig {
     /// thread-count invariant for LIME/SHAP (see DESIGN.md, "Threading
     /// model & determinism").
     pub n_threads: Option<usize>,
-    /// Containment engine of the perturbation store (DESIGN.md §5g). The
-    /// default bitset engine and the legacy postings engine return
-    /// identical ids; the knob exists so benchmarks and equivalence tests
-    /// can run the old layout end-to-end.
-    pub match_engine: MatchEngine,
 }
 
 impl BatchConfig {
@@ -74,9 +56,7 @@ impl Default for BatchConfig {
             tau: 100,
             cache_budget_bytes: usize::MAX,
             auto_tau: true,
-            miner: Miner::default(),
             n_threads: None,
-            match_engine: MatchEngine::default(),
         }
     }
 }

@@ -15,8 +15,8 @@
 //!   [`PerturbationStore::matching_stats`], because its evictions depend
 //!   on it, and hands over its warm-up cache (`Pool::loose`) before the
 //!   first refresh.
-//! * **How rows are scheduled.** Contiguous chunks over worker threads
-//!   (`batch::in_chunks`), strictly in order for a stream, one
+//! * **How rows are scheduled.** Contiguous blocks claimed by worker
+//!   threads (`parallel::in_chunks`), strictly in order for a stream, one
 //!   request at a time for a serve worker.
 //!
 //! A tuple's RNG stream is [`per_tuple_seed`]`(run seed, row)` and the

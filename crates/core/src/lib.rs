@@ -74,16 +74,16 @@ pub mod warm;
 pub use anchor_cache::{CachingRuleSampler, SamplerStats, SharedAnchorCaches};
 pub use baseline::{dist_k, Greedy};
 pub use batch::ShahinBatch;
-pub use config::{BatchConfig, Miner, StreamingConfig};
+pub use config::{BatchConfig, StreamingConfig};
 pub use greedy_cache::TaggedLruCache;
 pub use kernel::TupleWorker;
 pub use metrics::{
     BatchReport, BatchResult, FailureKind, OverheadBreakdown, RunMetrics, TupleFailure,
 };
 pub use obs::{
-    fold_provenance, register_standard, trace_sampled, EventSink, MetricsRegistry,
-    MetricsSnapshot, ProvenanceRecord, ProvenanceSink, RequestTrace, StageSpan, TraceContext,
-    TraceCounters, TraceSpan, TraceStore, TraceStoreConfig,
+    fold_provenance, register_standard, trace_sampled, EventSink, MetricsRegistry, MetricsSnapshot,
+    ProvenanceRecord, ProvenanceSink, RequestTrace, StageSpan, TraceContext, TraceCounters,
+    TraceSpan, TraceStore, TraceStoreConfig,
 };
 pub use parallel::chunks;
 pub use runner::{
@@ -91,7 +91,7 @@ pub use runner::{
 };
 pub use shap_source::StoreCoalitionSource;
 pub use snapshot::{fault, SnapshotError, FORMAT_VERSION as SNAPSHOT_FORMAT_VERSION};
-pub use store::{per_itemset_seed, LookupStats, MatchEngine, PerturbationStore};
+pub use store::{per_itemset_seed, LookupStats, PerturbationStore};
 pub use streaming::ShahinStreaming;
 pub use summarize::{
     summarize_attributions, summarize_rules, top_k_overlap, AttributionSummary, RuleSummary,

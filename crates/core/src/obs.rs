@@ -9,8 +9,8 @@ pub use shahin_obs::{
     bucket_index, bucket_upper_ns, current_thread_id, trace_sampled, Counter, EventRecord,
     EventSink, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
     ProvenanceRecord, ProvenanceSink, ProvenanceTotals, RequestTrace, Span, StageSpan,
-    TraceContext, TraceCounters, TraceSpan, TraceStore, TraceStoreConfig,
-    ValueHistogram, N_BUCKETS, SPAN_PREFIX,
+    TraceContext, TraceCounters, TraceSpan, TraceStore, TraceStoreConfig, ValueHistogram,
+    N_BUCKETS, SPAN_PREFIX,
 };
 
 use std::sync::Arc;

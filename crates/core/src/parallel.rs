@@ -11,11 +11,16 @@
 //!   `(run_seed, itemset_id)` and the per-itemset sample counts planned up
 //!   front, so the materialized store is bit-identical at every thread
 //!   count.
-//! * **Per-tuple** — the rows are split into contiguous [`chunks`], one
-//!   per worker, and every row goes through the same per-tuple kernel
-//!   ([`crate::kernel`]) the single-threaded driver uses. The store is
-//!   only *read* and each tuple's RNG stream is derived from the run seed
-//!   and its row, so tuples are embarrassingly parallel.
+//! * **Per-tuple** — the rows are cut into contiguous blocks that the
+//!   workers claim (`in_chunks`), and every row goes through the same
+//!   per-tuple kernel ([`crate::kernel`]) the single-threaded driver uses.
+//!   The store is only *read* and each tuple's RNG stream is derived from
+//!   the run seed and its row, so tuples are embarrassingly parallel.
+//!
+//! Both phases schedule through `in_chunks`: a worker that finishes its
+//! block early claims the next unclaimed one, so a slow core or an
+//! expensive stretch of rows never leaves the other workers idle while
+//! the run waits for it.
 //!
 //! `Method::BatchParallel` therefore produces exactly the LIME and SHAP
 //! explanations (and classifier invocation counts) of `Method::Batch`, at
@@ -28,6 +33,14 @@
 //!
 //! The thread count comes from [`crate::BatchConfig::n_threads`]
 //! (machine parallelism by default) — one knob, not per-call arguments.
+
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Blocks per worker that [`in_chunks`] cuts its range into: enough that
+/// a worker which finishes early finds work left to claim, few enough
+/// that per-block setup stays negligible.
+const BLOCKS_PER_WORKER: usize = 16;
 
 /// Splits `0..n` into at most `n_threads` contiguous, balanced chunks
 /// (sizes differ by at most one). Returns no chunks for `n = 0`, never
@@ -47,6 +60,56 @@ pub fn chunks(n: usize, n_threads: usize) -> Vec<(usize, usize)> {
         start = end;
     }
     out
+}
+
+/// Runs `work` over `0..n` and returns each block's result, in row order.
+///
+/// With one thread (or at most one row) the whole range is one block, run
+/// on the calling thread. Otherwise the range is cut into [`chunks`] of
+/// `n_threads × 16` balanced blocks, and `min(n_threads, blocks)` scoped
+/// `worker-{i}` threads run them: worker `i` starts on block `i` — so
+/// every worker runs — then claims the next unclaimed block until none
+/// is left. Which worker runs which block depends on the schedule; the
+/// returned order does not.
+pub(crate) fn in_chunks<R: Send>(
+    n: usize,
+    n_threads: usize,
+    work: impl Fn(Range<usize>) -> R + Sync,
+) -> Vec<R> {
+    if n_threads <= 1 || n <= 1 {
+        return chunks(n, 1).into_iter().map(|(s, e)| work(s..e)).collect();
+    }
+    let blocks = chunks(n, n_threads.saturating_mul(BLOCKS_PER_WORKER));
+    let n_workers = n_threads.min(blocks.len());
+    let next = AtomicUsize::new(n_workers);
+    let (work, blocks, next) = (&work, &blocks, &next);
+    let done: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..n_workers)
+            .map(|i| {
+                std::thread::Builder::new()
+                    .name(format!("worker-{i}"))
+                    .spawn_scoped(scope, move || {
+                        let mut done = Vec::new();
+                        let mut b = i;
+                        while let Some(&(start, end)) = blocks.get(b) {
+                            done.push((b, work(start..end)));
+                            // Relaxed: the counter only hands out block
+                            // indices; results travel back through `join`.
+                            b = next.fetch_add(1, Ordering::Relaxed);
+                        }
+                        done
+                    })
+                    .expect("spawn worker")
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    let mut done: Vec<(usize, R)> = done.into_iter().flatten().collect();
+    done.sort_unstable_by_key(|&(b, _)| b);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -97,6 +160,26 @@ mod tests {
         assert_eq!(chunks(5, 1), vec![(0, 5)]);
         assert_eq!(chunks(5, 0), vec![(0, 5)], "zero threads clamps to one");
         assert_eq!(chunks(1, 64), vec![(0, 1)]);
+    }
+
+    #[test]
+    fn in_chunks_equals_the_sequential_map() {
+        for n in [0usize, 1, 2, 17, 1000] {
+            for threads in [1usize, 2, 3, 8] {
+                let runs = std::sync::Mutex::new(vec![0u32; n]);
+                let blocks = in_chunks(n, threads, |rows| {
+                    for row in rows.clone() {
+                        runs.lock().unwrap()[row] += 1;
+                    }
+                    rows.map(|row| row * row).collect::<Vec<_>>()
+                });
+                let got: Vec<usize> = blocks.into_iter().flatten().collect();
+                let want: Vec<usize> = (0..n).map(|row| row * row).collect();
+                assert_eq!(got, want, "n {n}, {threads} threads");
+                let runs = runs.into_inner().unwrap();
+                assert!(runs.iter().all(|&r| r == 1), "n {n}, {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -16,12 +16,12 @@ use rand::{Rng, SeedableRng};
 use shahin_explain::{
     labeled_perturbations_batch, labeled_perturbations_batch_timed, ExplainContext, LabeledSample,
 };
-use shahin_fim::{BitsetDomain, Itemset, ItemsetIndex, MatchScratch};
+use shahin_fim::{BitsetDomain, Itemset, MatchScratch};
 use shahin_model::Classifier;
 use shahin_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::obs::names;
-use crate::parallel::chunks;
+use crate::parallel::in_chunks;
 use crate::snapshot::{Dec, Enc, SnapshotError};
 
 /// Derives the RNG seed of itemset `id`'s materialization stream from the
@@ -51,21 +51,6 @@ pub struct LookupStats {
     pub misses: u64,
     /// Materialized samples available across the hit entries.
     pub samples_available: u64,
-}
-
-/// Which containment engine the `matching*` family dispatches to.
-///
-/// Both engines give the same answer in the same (ascending-id) order —
-/// [`MatchEngine::Bitset`] is the cache-conscious default,
-/// [`MatchEngine::Postings`] pins the legacy hash-postings index for
-/// equivalence tests and old-vs-new benchmarks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MatchEngine {
-    /// Dictionary-encoded `[u64; W]` masks, AND/EQ scan ([`BitsetDomain`]).
-    #[default]
-    Bitset,
-    /// Per-item hash postings with hit counting ([`ItemsetIndex`]).
-    Postings,
 }
 
 /// One itemset's materialized samples. Only touched when samples are
@@ -112,9 +97,7 @@ pub struct PerturbationStore {
     n_samples: Vec<u32>,
     /// Dense per-itemset LRU clocks (see `clock`); same rationale.
     last_used: Vec<u64>,
-    index: ItemsetIndex,
     domain: BitsetDomain,
-    engine: MatchEngine,
     budget: usize,
     used_bytes: usize,
     peak_bytes: usize,
@@ -124,11 +107,9 @@ pub struct PerturbationStore {
 
 impl PerturbationStore {
     /// Creates an empty store over the given itemsets (typically the mined
-    /// frequent itemsets, highest support first). Both containment engines
-    /// are built here — the bitset masks are derived from the same itemset
-    /// list as the postings index, so either can serve `matching*`.
+    /// frequent itemsets, highest support first), with the bitset
+    /// containment masks `matching*` scans.
     pub fn new(itemsets: Vec<Itemset>, budget_bytes: usize) -> PerturbationStore {
-        let index = ItemsetIndex::new(&itemsets);
         let domain = BitsetDomain::new(&itemsets);
         let base: usize = itemsets.iter().map(Itemset::approx_bytes).sum();
         let entries = vec![StoreEntry::default(); itemsets.len()];
@@ -137,26 +118,13 @@ impl PerturbationStore {
             last_used: vec![0; itemsets.len()],
             itemsets,
             entries,
-            index,
             domain,
-            engine: MatchEngine::default(),
             budget: budget_bytes,
             used_bytes: base,
             peak_bytes: base,
             clock: 0,
             obs: StoreObs::default(),
         }
-    }
-
-    /// The containment engine `matching*` currently dispatches to.
-    #[inline]
-    pub fn match_engine(&self) -> MatchEngine {
-        self.engine
-    }
-
-    /// Selects the containment engine (answers are identical either way).
-    pub fn set_match_engine(&mut self, engine: MatchEngine) {
-        self.engine = engine;
     }
 
     /// Wires the store's metrics (`store.*` counters and gauges, the
@@ -260,7 +228,8 @@ impl PerturbationStore {
     }
 
     /// [`PerturbationStore::materialize`] spread over `n_threads` scoped
-    /// worker threads, deterministically: itemset `id`'s samples come from
+    /// worker threads claiming blocks of itemsets (`parallel::in_chunks`),
+    /// deterministically: itemset `id`'s samples come from
     /// an RNG stream seeded by `(seed, id)` ([`per_itemset_seed`]), the
     /// per-itemset sample counts are fixed up front by [`Self::fill_plan`],
     /// and workers' results are merged in itemset order — so the resulting
@@ -285,59 +254,55 @@ impl PerturbationStore {
         }
 
         let itemsets = &self.itemsets;
-        let mut produced: Vec<Vec<LabeledSample>> = vec![Vec::new(); plan.len()];
-        std::thread::scope(|scope| {
-            let mut rest = produced.as_mut_slice();
-            for (start, end) in chunks(plan.len(), n_threads) {
-                let (head, tail) = rest.split_at_mut(end - start);
-                rest = tail;
-                let plan = &plan;
-                let gen_hist = self.obs.perturb_generate.clone();
-                let panics = self.obs.panics_isolated.clone();
-                scope.spawn(move || {
-                    let mut gen_time = std::time::Duration::ZERO;
-                    for (offset, slot) in head.iter_mut().enumerate() {
-                        let id = start + offset;
-                        if plan[id] == 0 {
-                            continue;
+        let plan = &plan;
+        let (gen_hist, panics) = (&self.obs.perturb_generate, &self.obs.panics_isolated);
+        let produced = in_chunks(plan.len(), n_threads, |ids| {
+            let mut gen_time = std::time::Duration::ZERO;
+            let block: Vec<Vec<LabeledSample>> = ids
+                .map(|id| {
+                    if plan[id] == 0 {
+                        return Vec::new();
+                    }
+                    let mut rng = StdRng::seed_from_u64(per_itemset_seed(seed, id));
+                    // A classifier panic while labeling this itemset's
+                    // samples only costs this itemset: the slot stays empty
+                    // (tuples fall back to fresh perturbations) and the
+                    // other itemsets keep filling. Fault schedules hash the
+                    // perturbation content, so the same itemset fails at
+                    // every thread count.
+                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        labeled_perturbations_batch_timed(
+                            ctx,
+                            clf,
+                            &itemsets[id],
+                            plan[id],
+                            &mut rng,
+                        )
+                    })) {
+                        Ok((samples, generated)) => {
+                            gen_time += generated;
+                            samples
                         }
-                        let mut rng = StdRng::seed_from_u64(per_itemset_seed(seed, id));
-                        // A classifier panic while labeling this itemset's
-                        // samples only costs this itemset: the slot stays
-                        // empty (tuples fall back to fresh perturbations)
-                        // and the other workers keep filling. Fault
-                        // schedules hash the perturbation content, so the
-                        // same itemset fails at every thread count.
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            labeled_perturbations_batch_timed(
-                                ctx,
-                                clf,
-                                &itemsets[id],
-                                plan[id],
-                                &mut rng,
-                            )
-                        })) {
-                            Ok((samples, generated)) => {
-                                *slot = samples;
-                                gen_time += generated;
-                            }
-                            Err(_) => panics.inc(),
+                        Err(_) => {
+                            panics.inc();
+                            Vec::new()
                         }
                     }
-                    // One sample per worker: the histogram's sum is the
-                    // CPU time spent generating, its count the worker
-                    // fan-out.
-                    if !gen_time.is_zero() {
-                        gen_hist.record(gen_time);
-                    }
-                });
+                })
+                .collect();
+            // One sample per block: the histogram's sum is the CPU time
+            // spent generating, its count the blocks that generated.
+            if !gen_time.is_zero() {
+                gen_hist.record(gen_time);
             }
+            block
         });
 
         // Merge in itemset order, not thread completion order, so the byte
         // accounting (used/peak) replays the sequential fill exactly.
         // `created` can fall short of the plan when an itemset's labeling
         // panicked and was contained above.
+        let produced: Vec<Vec<LabeledSample>> = produced.into_iter().flatten().collect();
         let created: usize = produced.iter().map(Vec::len).sum();
         for (id, samples) in produced.into_iter().enumerate() {
             for sample in samples {
@@ -400,28 +365,17 @@ impl PerturbationStore {
         }
     }
 
-    /// Raw containment: ids of tracked itemsets contained in `row_codes`,
-    /// in ascending order, via whichever engine is selected. Everything in
-    /// the `matching*` family funnels through here.
-    #[inline]
-    fn contained_ids(&self, row_codes: &[u32], scratch: &mut MatchScratch) -> Vec<u32> {
-        match self.engine {
-            MatchEngine::Bitset => self.domain.contained_in_with(row_codes, scratch),
-            MatchEngine::Postings => self.index.contained_in_with(row_codes, &mut scratch.counts),
-        }
-    }
-
     /// The one lookup core behind the `matching*` family: containment ids,
     /// filtered down to entries with materialized samples, with hit/miss/
     /// availability accounting recorded. Read-only — the mutable variant
-    /// layers its LRU touch on top, so the bitset/postings dispatch and the
-    /// filtering logic live exactly once.
+    /// layers its LRU touch on top, so the filtering logic lives exactly
+    /// once.
     fn lookup_core(
         &self,
         row_codes: &[u32],
         scratch: &mut MatchScratch,
     ) -> (Vec<u32>, LookupStats) {
-        let mut ids = self.contained_ids(row_codes, scratch);
+        let mut ids = self.domain.contained_in_with(row_codes, scratch);
         let mut stats = LookupStats::default();
         ids.retain(|&id| {
             let n = self.n_samples[id as usize];
@@ -499,7 +453,7 @@ impl PerturbationStore {
     /// Ids of all tracked itemsets contained in `codes`, including entries
     /// without materialized samples, without touching LRU state.
     pub fn matching_all(&self, codes: &[u32], scratch: &mut MatchScratch) -> Vec<u32> {
-        self.contained_ids(codes, scratch)
+        self.domain.contained_in_with(codes, scratch)
     }
 
     /// Where a labeled sample with `codes` should go: the least-stocked
@@ -542,8 +496,8 @@ impl PerturbationStore {
     }
 
     /// Serializes the store's full warm state — itemsets, every
-    /// materialized sample, LRU clocks, byte budget/high-watermark, engine
-    /// selection, and the bitset dictionary — as a snapshot payload.
+    /// materialized sample, LRU clocks, byte budget/high-watermark, and the
+    /// bitset dictionary — as a snapshot payload.
     /// [`PerturbationStore::load_snapshot`] is the inverse.
     pub(crate) fn dump_snapshot(&self) -> Vec<u8> {
         let mut e = Enc::new();
@@ -551,10 +505,9 @@ impl PerturbationStore {
         for set in &self.itemsets {
             e.itemset(set);
         }
-        e.u8(match self.engine {
-            MatchEngine::Bitset => 0,
-            MatchEngine::Postings => 1,
-        });
+        // The byte that once selected the match engine: `0` was the bitset
+        // engine, the only one left.
+        e.u8(0);
         e.u64(self.budget as u64);
         e.u64(self.peak_bytes as u64);
         e.u64(self.clock);
@@ -576,8 +529,8 @@ impl PerturbationStore {
     }
 
     /// Reconstructs a store from a [`PerturbationStore::dump_snapshot`]
-    /// payload. Derivable state (postings index, per-entry byte and sample
-    /// counts, resident-byte total) is recomputed rather than trusted, and
+    /// payload. Derivable state (per-entry byte and sample counts,
+    /// resident-byte total) is recomputed rather than trusted, and
     /// structural invariants — every sample contains its itemset, the
     /// dictionary covers the itemset list, LRU clocks are in range — are
     /// verified, so a payload that passed its CRC but was written wrong
@@ -591,11 +544,11 @@ impl PerturbationStore {
         for _ in 0..n {
             itemsets.push(d.itemset()?);
         }
-        let engine = match d.u8()? {
-            0 => MatchEngine::Bitset,
-            1 => MatchEngine::Postings,
-            _ => return Err(corrupt("unknown match engine")),
-        };
+        // The match-engine byte: `1` (the retired postings engine, which
+        // answered identically) still loads, into the bitset engine.
+        if d.u8()? > 1 {
+            return Err(corrupt("unknown match engine"));
+        }
         let budget = d.u64()? as usize;
         let peak_bytes = d.u64()? as usize;
         let clock = d.u64()?;
@@ -648,15 +601,12 @@ impl PerturbationStore {
         if peak_bytes < used_bytes {
             return Err(corrupt("peak bytes below resident bytes"));
         }
-        let index = ItemsetIndex::new(&itemsets);
         Ok(PerturbationStore {
             n_samples,
             last_used,
             itemsets,
             entries,
-            index,
             domain,
-            engine,
             budget,
             used_bytes,
             peak_bytes,
@@ -972,41 +922,6 @@ mod tests {
     }
 
     #[test]
-    fn bitset_and_postings_engines_agree() {
-        let ctx = ctx();
-        let clf = MajorityClass::fit(&[1]);
-        let mut store = PerturbationStore::new(itemsets(), usize::MAX);
-        assert_eq!(store.match_engine(), MatchEngine::Bitset);
-        let mut rng = StdRng::seed_from_u64(11);
-        store.materialize(&ctx, &clf, 4, &mut rng);
-        // Empty out one entry so the hit-filtering path is exercised too.
-        store.entries[1].samples.clear();
-        store.n_samples[1] = 0;
-        let mut scratch = MatchScratch::new();
-        let rows: Vec<Vec<u32>> = vec![
-            {
-                let mut r = vec![9999u32; ctx.n_attrs()];
-                r[0] = 0;
-                r[1] = 1;
-                r
-            },
-            vec![0u32; ctx.n_attrs()],
-            vec![9999u32; ctx.n_attrs()],
-        ];
-        for row in &rows {
-            store.set_match_engine(MatchEngine::Bitset);
-            let all_b = store.matching_all(row, &mut scratch);
-            let (ids_b, stats_b) = store.matching_read_stats(row, &mut scratch);
-            store.set_match_engine(MatchEngine::Postings);
-            let all_p = store.matching_all(row, &mut scratch);
-            let (ids_p, stats_p) = store.matching_read_stats(row, &mut scratch);
-            assert_eq!(all_b, all_p);
-            assert_eq!(ids_b, ids_p);
-            assert_eq!(stats_b, stats_p);
-        }
-    }
-
-    #[test]
     fn snapshot_round_trip_is_bit_identical() {
         let ctx = ctx();
         let clf = MajorityClass::fit(&[1]);
@@ -1033,12 +948,11 @@ mod tests {
         assert_eq!(loaded.used_bytes, store.used_bytes);
         assert_eq!(loaded.peak_bytes, store.peak_bytes);
         assert_eq!(loaded.budget, store.budget);
-        assert_eq!(loaded.match_engine(), store.match_engine());
         for id in 0..3u32 {
             assert_eq!(loaded.samples(id), store.samples(id));
         }
-        // The loaded store answers lookups identically through both the
-        // loaded dictionary and the rebuilt postings index.
+        // The loaded store answers lookups identically through the loaded
+        // dictionary.
         let (ids_a, stats_a) = store.matching_read_stats(&row, &mut scratch);
         let (ids_b, stats_b) = loaded.matching_read_stats(&row, &mut scratch);
         assert_eq!(ids_a, ids_b);
@@ -1065,6 +979,41 @@ mod tests {
         let mut padded = payload.clone();
         padded.push(0);
         assert!(PerturbationStore::load_snapshot(&padded).is_err());
+    }
+
+    #[test]
+    fn snapshot_engine_byte_accepts_legacy_postings_and_rejects_unknown() {
+        let ctx = ctx();
+        let clf = MajorityClass::fit(&[1]);
+        let mut store = PerturbationStore::new(itemsets(), usize::MAX);
+        store.materialize_parallel(&ctx, &clf, 3, 19, 2);
+        let payload = store.dump_snapshot();
+        // The engine byte follows the itemset list.
+        let mut head = Enc::new();
+        head.u64(store.itemsets.len() as u64);
+        for set in &store.itemsets {
+            head.itemset(set);
+        }
+        let at = head.buf.len();
+        assert_eq!(payload[at], 0, "the bitset engine's byte is written");
+        let mut row = vec![9999u32; ctx.n_attrs()];
+        row[0] = 0;
+        row[1] = 1;
+        let mut scratch = MatchScratch::new();
+        let want = store.matching_read_stats(&row, &mut scratch);
+
+        // A file written while the postings engine was selected loads and
+        // answers identically; it re-serializes with the bitset byte.
+        let mut legacy = payload.clone();
+        legacy[at] = 1;
+        let loaded = PerturbationStore::load_snapshot(&legacy).expect("legacy byte loads");
+        assert_eq!(loaded.matching_read_stats(&row, &mut scratch), want);
+        assert_eq!(loaded.dump_snapshot(), payload);
+
+        let mut unknown = payload;
+        unknown[at] = 2;
+        let err = PerturbationStore::load_snapshot(&unknown).unwrap_err();
+        assert_eq!(err.kind(), "corrupt");
     }
 
     proptest::proptest! {

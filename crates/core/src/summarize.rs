@@ -114,11 +114,6 @@ impl RuleSummary {
         &self.rules[..k.min(self.rules.len())]
     }
 
-    /// Rules anchoring a specific class, most frequent first.
-    pub fn for_class(&self, class: u8) -> Vec<&RuleStat> {
-        self.rules.iter().filter(|r| r.class == class).collect()
-    }
-
     /// A human-readable report of the top `k` rules, resolving attribute
     /// names through the schema.
     pub fn report(&self, schema: &Schema, k: usize) -> String {
@@ -244,7 +239,6 @@ mod tests {
         assert_eq!(s.rules[0].count, 2);
         assert_eq!(s.rules[0].rule, r1);
         assert!((s.rules[0].mean_precision - 0.95).abs() < 1e-12);
-        assert_eq!(s.for_class(0).len(), 1);
         assert_eq!(s.top(1).len(), 1);
         let report = s.report(&schema3(), 5);
         assert!(report.contains("a=1"), "{report}");

@@ -46,17 +46,18 @@ use shahin_model::{Classifier, CountingClassifier};
 use shahin_tabular::{Dataset, DiscreteTable};
 
 use crate::anchor_cache::SharedAnchorCaches;
-use crate::batch::{estimate_base_value_guarded, in_chunks, ShahinBatch};
-use crate::config::{BatchConfig, Miner};
+use crate::batch::{estimate_base_value_guarded, ShahinBatch};
+use crate::config::BatchConfig;
 use crate::kernel::{Kernel, Pool, Tuple, TupleWorker};
 use crate::metrics::TupleFailure;
 use crate::obs::{names, register_standard, MetricsRegistry, ProvenanceCtx};
+use crate::parallel::in_chunks;
 use crate::quarantine::TupleOutcome;
 use crate::runner::{ExplainerKind, Explanation};
 use crate::snapshot::{
     Dec, Enc, SnapshotError, SnapshotReader, SnapshotWriter, TAG_CACHES, TAG_META, TAG_STORE,
 };
-use crate::store::{MatchEngine, PerturbationStore};
+use crate::store::PerturbationStore;
 
 /// The former name of [`ExplainerKind`] — the explainer a [`WarmEngine`]
 /// serves — kept because the `benchmark/` package still names it.
@@ -125,14 +126,10 @@ fn snapshot_fingerprint(
         config.tau as u64,
         config.cache_budget_bytes as u64,
         u64::from(config.auto_tau),
-        match config.miner {
-            Miner::Apriori => 0,
-            Miner::FpGrowth => 1,
-        },
-        match config.match_engine {
-            MatchEngine::Bitset => 0,
-            MatchEngine::Postings => 1,
-        },
+        // Where the miner and match-engine selectors were mixed in; both
+        // had one value left, so existing snapshots keep their digest.
+        0,
+        0,
         seed,
         warm.n_rows() as u64,
         n_attrs as u64,
@@ -272,11 +269,6 @@ impl<C: Classifier> WarmEngine<C> {
     /// Completed refresh rounds (the provenance epoch of the next tuple).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// The explainer this engine serves.
-    pub fn explainer_name(&self) -> &'static str {
-        self.explainer.name()
     }
 
     /// Resolved worker count ([`BatchConfig::resolved_n_threads`]) —
@@ -471,8 +463,15 @@ impl<C: Classifier> WarmEngine<C> {
         let rejection = match bytes {
             None => None,
             Some(bytes) => {
-                match load_snapshot_parts(&config, &explainer, ctx.n_attrs(), &warm, seed, reg, bytes)
-                {
+                match load_snapshot_parts(
+                    &config,
+                    &explainer,
+                    ctx.n_attrs(),
+                    &warm,
+                    seed,
+                    reg,
+                    bytes,
+                ) {
                     Ok(parts) => {
                         reg.counter(names::PERSIST_LOADS_OK).inc();
                         let eng = Self::assemble_hydrated(
@@ -513,7 +512,6 @@ impl<C: Classifier> WarmEngine<C> {
             caches,
         } = parts;
         register_standard(reg);
-        store.set_match_engine(config.match_engine);
         store.attach_obs(reg);
         let table = ctx.discretizer().encode_dataset(&warm);
         let shahin = ShahinBatch::new(config).with_obs(reg);
@@ -544,10 +542,10 @@ impl<C: Classifier> WarmEngine<C> {
     /// Explains a batch of requests against the warm repository — the
     /// offline form of [`WarmEngine::explain_request`]. Outcomes come
     /// back in request order; a quarantined tuple fails only its own
-    /// slot. Runs on the calling thread when the batch resolves to one
-    /// chunk (one request, or `n_threads = 1`), otherwise on one scoped
-    /// thread per chunk of [`BatchConfig::n_threads`]. Rows must be
-    /// `< n_rows()` (this panics on out-of-range rows).
+    /// slot. Runs on the calling thread for one request or
+    /// `n_threads = 1`, otherwise on [`BatchConfig::n_threads`] scoped
+    /// workers claiming blocks of requests (`parallel::in_chunks`). Rows
+    /// must be `< n_rows()` (this panics on out-of-range rows).
     pub fn explain(&self, requests: &[WarmRequest]) -> Vec<WarmOutcome> {
         in_chunks(requests.len(), self.n_workers(), |range| {
             let mut worker = self.worker();
@@ -762,7 +760,10 @@ mod tests {
             eng.explain(reqs);
             let seen = probe.0.lock().unwrap();
             assert!(!seen.is_empty(), "the probe must have been called");
-            assert!(seen.iter().all(|&t| t == me), "a one-chunk batch spawned a thread");
+            assert!(
+                seen.iter().all(|&t| t == me),
+                "a one-chunk batch spawned a thread"
+            );
         }
     }
 
@@ -1021,7 +1022,9 @@ mod tests {
         }
         // A different prime seed is a different config fingerprint: valid
         // bytes, wrong state — rejected before any payload is read.
-        let err = hydrate(&bytes, 12).err().expect("seed skew must be rejected");
+        let err = hydrate(&bytes, 12)
+            .err()
+            .expect("seed skew must be rejected");
         assert_eq!(err.kind(), "fingerprint_mismatch");
         // And the undamaged snapshot still hydrates.
         assert!(hydrate(&bytes, 11).is_ok());

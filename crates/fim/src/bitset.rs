@@ -1,34 +1,25 @@
 //! Bitmask containment over a dictionary-encoded itemset domain.
 //!
-//! [`crate::ItemsetIndex`] answers "which itemsets are contained in this
-//! tuple?" by hashing each of the tuple's items into a postings map and
-//! counting hits — a pointer-chasing loop whose cost is dominated by
-//! SipHash and cache misses. [`BitsetDomain`] rebuilds the same answer
-//! cache-consciously: the *distinct items that appear in any tracked
-//! itemset* form a small dictionary (one bit each), so a tuple and a
-//! frozen itemset each become a `[u64; W]` mask and containment reduces
+//! [`BitsetDomain`] answers "which itemsets are contained in this
+//! tuple?" cache-consciously: the *distinct items that appear in any
+//! tracked itemset* form a small dictionary (one bit each), so a tuple and
+//! a frozen itemset each become a `[u64; W]` mask and containment reduces
 //! to `iset & row == iset` over `W` words, with a popcount-based size
 //! reject in front. Items outside the dictionary cannot influence any
 //! containment answer, so they simply set no bit.
 //!
-//! The answer is **bit-identical** to the postings index: both return the
-//! ids of exactly the contained itemsets, in ascending order (the bitset
-//! scan visits ids in order, so no sort is needed).
+//! The answer is exactly the brute-force [`Itemset::contained_in`] filter:
+//! the ids of the contained itemsets, in ascending order (the scan visits
+//! ids in order, so no sort is needed).
 
 use crate::item::Itemset;
 
-/// Reusable per-thread scratch for containment lookups.
-///
-/// Holds both the row-mask words used by [`BitsetDomain`] and the per-
-/// itemset hit counters used by the legacy [`crate::ItemsetIndex`] path,
-/// so one scratch value serves either matching engine.
+/// Reusable per-thread scratch for containment lookups: the row-mask
+/// words of [`BitsetDomain::contained_in_with`].
 #[derive(Clone, Debug, Default)]
 pub struct MatchScratch {
-    /// Row bitmask buffer (`W` words), used by [`BitsetDomain`].
+    /// Row bitmask buffer (`W` words).
     pub mask: Vec<u64>,
-    /// Per-itemset hit counters, used by
-    /// [`crate::ItemsetIndex::contained_in_with`].
-    pub counts: Vec<u8>,
 }
 
 impl MatchScratch {
@@ -191,8 +182,7 @@ impl BitsetDomain {
 
     /// Ids of all indexed itemsets fully contained in the tuple with the
     /// given discretized `row_codes` (indexed by attribute), in ascending
-    /// order — the same answer, in the same order, as
-    /// [`crate::ItemsetIndex::contained_in`].
+    /// order — the ids whose [`Itemset::contained_in`] holds.
     pub fn contained_in_with(&self, row_codes: &[u32], scratch: &mut MatchScratch) -> Vec<u32> {
         let mut out = Vec::new();
         if self.n_itemsets == 0 {
@@ -407,7 +397,6 @@ impl Reader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::ItemsetIndex;
     use crate::item::Item;
 
     fn iset(pairs: &[(usize, u32)]) -> Itemset {
@@ -431,10 +420,9 @@ mod tests {
     }
 
     #[test]
-    fn matches_postings_index_and_brute_force() {
+    fn matches_brute_force() {
         let sets = sets();
         let domain = BitsetDomain::new(&sets);
-        let index = ItemsetIndex::new(&sets);
         let mut scratch = MatchScratch::new();
         for row in [
             vec![1, 2, 5],
@@ -445,7 +433,6 @@ mod tests {
             vec![9999, 9999, 9999],
         ] {
             let got = domain.contained_in_with(&row, &mut scratch);
-            assert_eq!(got, index.contained_in(&row), "row {row:?}");
             let brute: Vec<u32> = sets
                 .iter()
                 .enumerate()
@@ -489,16 +476,18 @@ mod tests {
         let domain = BitsetDomain::new(&sets);
         assert!(domain.n_bits() > 64);
         assert_eq!(domain.words(), 2);
-        let index = ItemsetIndex::new(&sets);
         let mut scratch = MatchScratch::new();
         for row in [
             vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 8],
             vec![0, 0, 0, 0, 4, 0, 0, 0, 0, 8],
             vec![9, 9, 9, 9, 9, 9, 9, 9, 9, 9],
         ] {
+            let brute: Vec<u32> = (0..sets.len() as u32)
+                .filter(|&i| sets[i as usize].contained_in(&row))
+                .collect();
             assert_eq!(
                 domain.contained_in_with(&row, &mut scratch),
-                index.contained_in(&row),
+                brute,
                 "row {row:?}"
             );
         }

@@ -13,12 +13,10 @@
 //!   returning frequent itemsets *and* their negative border (needed by the
 //!   streaming variant, paper §3.5), with support counted on per-item row
 //!   bitsets ([`Tidsets`]),
-//! * [`ItemsetIndex`] — a postings-list index answering "which frequent
-//!   itemsets are contained in this tuple?" in time proportional to the
-//!   matching postings,
-//! * [`BitsetDomain`] — the cache-conscious answer to the same question:
-//!   tracked items are dictionary-encoded so tuples and itemsets become
-//!   `[u64; W]` masks and containment is a handful of AND/EQ word ops,
+//! * [`BitsetDomain`] — answers "which frequent itemsets are contained
+//!   in this tuple?": tracked items are dictionary-encoded so tuples and
+//!   itemsets become `[u64; W]` masks and containment is a handful of
+//!   AND/EQ word ops,
 //! * [`shahin_sample_size`] / [`sample_rows`] — the paper's
 //!   `max(1000, 1% of batch)` sampling rule.
 //!
@@ -26,14 +24,10 @@
 
 pub mod apriori;
 pub mod bitset;
-pub mod fpgrowth;
-pub mod index;
 pub mod item;
 pub mod sample;
 
 pub use apriori::{apriori, AprioriParams, AprioriResult, Tidsets};
 pub use bitset::{BitsetDomain, MatchScratch};
-pub use fpgrowth::fpgrowth;
-pub use index::ItemsetIndex;
 pub use item::{Item, Itemset};
 pub use sample::{sample_rows, shahin_sample_size};

@@ -1,7 +1,7 @@
 //! CSR-flattened forests: every tree's nodes in one contiguous array.
 //!
-//! A fitted [`crate::RandomForest`] stores each tree as its own
-//! `Vec<Node>` of 32-byte enum variants — every prediction hops between
+//! A fitted [`DecisionTree`] stores its nodes as its own `Vec<Node>` of
+//! 32-byte enum variants — walking a forest of them hops between
 //! per-tree allocations and pattern-matches an enum per node. For the
 //! batch workloads Shahin runs (millions of invocations per explanation
 //! batch), that layout is memory-bound: the working set is scattered and

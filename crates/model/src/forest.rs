@@ -33,35 +33,18 @@ impl Default for ForestParams {
     }
 }
 
-/// Which physical representation the forest's `predict*` paths traverse.
-///
-/// Both layouts encode the same fitted trees and produce bit-identical
-/// outputs (see [`FlatForest`]); `Nested` exists so benchmarks and
-/// equivalence tests can pin the legacy pointer-chasing layout.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ForestLayout {
-    /// Contiguous CSR arrays (the default — cache-conscious hot path).
-    #[default]
-    Flat,
-    /// Per-tree `Vec<Node>` arenas (the legacy layout).
-    Nested,
-}
-
 /// A trained Random Forest binary classifier. Probability is the mean of
-/// the trees' leaf probabilities.
+/// the trees' leaf probabilities, read off the trees' [`FlatForest`].
 #[derive(Clone, Debug)]
 pub struct RandomForest {
-    trees: Vec<DecisionTree>,
     flat: FlatForest,
-    layout: ForestLayout,
 }
 
 impl RandomForest {
     /// Trains the forest: each tree sees a bootstrap sample (with
     /// replacement, same size as the training set) and considers `⌊√m⌋`
     /// attributes per split. The fitted trees are flattened into a
-    /// [`FlatForest`] here, once, so every `predict*` path can use the
-    /// contiguous layout.
+    /// [`FlatForest`] here, once; every `predict*` path walks it.
     pub fn fit(
         data: &Dataset,
         labels: &[u8],
@@ -82,38 +65,19 @@ impl RandomForest {
                 DecisionTree::fit_on_rows(data, labels, rows, &tree_params, &mut tree_rng)
             })
             .collect();
-        let flat = FlatForest::from_trees(&trees);
         RandomForest {
-            trees,
-            flat,
-            layout: ForestLayout::default(),
+            flat: FlatForest::from_trees(&trees),
         }
     }
 
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.flat.n_trees()
     }
 
     /// The flattened representation.
     pub fn flat(&self) -> &FlatForest {
         &self.flat
-    }
-
-    /// The layout `predict*` currently traverses.
-    pub fn layout(&self) -> ForestLayout {
-        self.layout
-    }
-
-    /// Selects the traversal layout (outputs are bit-identical either way).
-    pub fn set_layout(&mut self, layout: ForestLayout) {
-        self.layout = layout;
-    }
-
-    /// Builder-style [`Self::set_layout`].
-    pub fn with_layout(mut self, layout: ForestLayout) -> RandomForest {
-        self.layout = layout;
-        self
     }
 
     /// Rows per worker below which batched prediction stays on one thread
@@ -132,32 +96,10 @@ impl RandomForest {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     }
 
-    /// Writes the mean tree probability of row `i` of the flat row-major
-    /// buffer into `out[i]` (`out` arrives zeroed). The borrowed flat slice
-    /// means callers never materialize per-row `Vec<Feature>`s.
-    fn predict_chunk(&self, rows: &[Feature], n_attrs: usize, out: &mut [f64]) {
-        match self.layout {
-            ForestLayout::Flat => self.flat.predict_chunk(rows, n_attrs, out),
-            ForestLayout::Nested => {
-                for tree in &self.trees {
-                    for (sum, inst) in out.iter_mut().zip(rows.chunks_exact(n_attrs)) {
-                        *sum += tree.predict_proba(inst);
-                    }
-                }
-                // Divide (not multiply by a reciprocal) so each row's
-                // result is bit-identical to `predict_proba`'s `sum / n`.
-                let n = self.trees.len() as f64;
-                for sum in out.iter_mut() {
-                    *sum /= n;
-                }
-            }
-        }
-    }
-
     /// [`Classifier::predict_proba_flat`] with an explicit worker count
     /// (clamped so each worker gets at least
     /// [`Self::MIN_ROWS_PER_WORKER`] rows). Row order — and hence the
-    /// output — is independent of the worker count and of the layout.
+    /// output — is independent of the worker count.
     pub fn predict_flat_with(&self, rows: &[Feature], n_attrs: usize, workers: usize) -> Vec<f64> {
         if n_attrs == 0 {
             return Vec::new();
@@ -167,13 +109,13 @@ impl RandomForest {
         let mut out = vec![0.0; n_rows];
         let workers = workers.min(n_rows / Self::MIN_ROWS_PER_WORKER);
         if workers < 2 {
-            self.predict_chunk(rows, n_attrs, &mut out);
+            self.flat.predict_chunk(rows, n_attrs, &mut out);
             return out;
         }
         let chunk = n_rows.div_ceil(workers);
         std::thread::scope(|scope| {
             for (rows, sums) in rows.chunks(chunk * n_attrs).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || self.predict_chunk(rows, n_attrs, sums));
+                scope.spawn(move || self.flat.predict_chunk(rows, n_attrs, sums));
             }
         });
         out
@@ -203,16 +145,10 @@ impl RandomForest {
 
 impl Classifier for RandomForest {
     fn predict_proba(&self, instance: &[Feature]) -> f64 {
-        match self.layout {
-            ForestLayout::Flat => self.flat.predict_proba(instance),
-            ForestLayout::Nested => {
-                let sum: f64 = self.trees.iter().map(|t| t.predict_proba(instance)).sum();
-                sum / self.trees.len() as f64
-            }
-        }
+        self.flat.predict_proba(instance)
     }
 
-    /// Single-dispatch batch evaluation: per-tree inner loop over the rows,
+    /// Single-dispatch batch evaluation over the flat arena,
     /// chunk-parallel across worker threads when the batch is large enough
     /// to amortize the spawns. Row order (and hence the output) is
     /// independent of the thread count.
@@ -260,30 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn probability_is_tree_average() {
-        let spec = DatasetPreset::Covertype.spec(0.01);
-        let (data, labels) = spec.generate(5);
-        let mut rng = StdRng::seed_from_u64(1);
-        let forest = RandomForest::fit(
-            &data,
-            &labels,
-            &ForestParams {
-                n_trees: 5,
-                ..Default::default()
-            },
-            &mut rng,
-        );
-        let inst = data.instance(0);
-        let avg: f64 = forest
-            .trees
-            .iter()
-            .map(|t| t.predict_proba(&inst))
-            .sum::<f64>()
-            / 5.0;
-        assert!((forest.predict_proba(&inst) - avg).abs() < 1e-12);
-    }
-
-    #[test]
     fn deterministic_under_seed() {
         let spec = DatasetPreset::Recidivism.spec(0.02);
         let (data, labels) = spec.generate(2);
@@ -302,34 +214,6 @@ mod tests {
         for r in 0..20.min(data.n_rows()) {
             let inst = data.instance(r);
             assert_eq!(f1.predict_proba(&inst), f2.predict_proba(&inst));
-        }
-    }
-
-    #[test]
-    fn layouts_are_bit_identical() {
-        let spec = DatasetPreset::Recidivism.spec(0.03);
-        let (data, labels) = spec.generate(13);
-        let mut rng = StdRng::seed_from_u64(31);
-        let forest = RandomForest::fit(
-            &data,
-            &labels,
-            &ForestParams {
-                n_trees: 7,
-                ..Default::default()
-            },
-            &mut rng,
-        );
-        assert_eq!(forest.layout(), ForestLayout::Flat);
-        let nested = forest.clone().with_layout(ForestLayout::Nested);
-        let rows: Vec<Vec<_>> = (0..data.n_rows()).map(|r| data.instance(r)).collect();
-        for row in &rows {
-            assert_eq!(forest.predict_proba(row), nested.predict_proba(row));
-        }
-        for workers in [1usize, 2, 8] {
-            assert_eq!(
-                forest.predict_batch_with(&rows, workers),
-                nested.predict_batch_with(&rows, workers)
-            );
         }
     }
 

@@ -12,8 +12,8 @@
 //!   and categorical one-vs-rest splits,
 //! * [`RandomForest`] — bagged trees with per-split feature subsampling
 //!   (the paper's model, §4.1),
-//! * [`LogisticRegression`] — a secondary black box over one-hot encoded
-//!   features,
+//! * [`GradientBoosting`] — a secondary black box (boosted regression
+//!   trees), showing the explainers are model-agnostic,
 //! * [`MajorityClass`] — the trivial baseline.
 //!
 //! Instrumentation:
@@ -42,7 +42,6 @@ pub mod flat;
 pub mod forest;
 pub mod gbm;
 pub mod instrument;
-pub mod logistic;
 pub mod metrics;
 pub mod resilient;
 pub mod tree;
@@ -51,12 +50,11 @@ pub use chaos::{ChaosClassifier, ChaosConfig, ChaosSnapshot};
 pub use classifier::{Classifier, MajorityClass};
 pub use error::PredictError;
 pub use flat::FlatForest;
-pub use forest::{ForestLayout, ForestParams, RandomForest};
+pub use forest::{ForestParams, RandomForest};
 pub use gbm::{GbmParams, GradientBoosting};
 pub use instrument::{
     CountingClassifier, InvocationSnapshot, LatencyCost, SimulatedCost, TracedClassifier,
 };
-pub use logistic::LogisticRegression;
 pub use metrics::{accuracy, confusion_matrix};
 pub use resilient::{
     degraded_incidents, payload_message, FallibleClassifier, ResilienceSnapshot,

@@ -80,8 +80,8 @@ pub use registry::{
 };
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
 pub use trace::{
-    trace_sampled, RequestTrace, StageSpan, TraceContext, TraceCounters, TraceSpan,
-    TraceStore, TraceStoreConfig, N_TRACE_STRIPES,
+    trace_sampled, RequestTrace, StageSpan, TraceContext, TraceCounters, TraceSpan, TraceStore,
+    TraceStoreConfig, N_TRACE_STRIPES,
 };
 pub use window::{SloConfig, SloStatus, SloTracker, WindowDelta, WindowedAggregator};
 

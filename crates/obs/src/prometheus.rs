@@ -50,9 +50,17 @@ fn push_exemplar_comments(out: &mut String, base: &str, exemplars: &[(usize, u64
     for &(i, trace_id) in exemplars {
         let le = bucket_upper_ns(i);
         if le == u64::MAX {
-            writeln!(out, "# EXEMPLAR {base}_bucket{{le=\"+Inf\"}} trace_id={trace_id}").unwrap();
+            writeln!(
+                out,
+                "# EXEMPLAR {base}_bucket{{le=\"+Inf\"}} trace_id={trace_id}"
+            )
+            .unwrap();
         } else {
-            writeln!(out, "# EXEMPLAR {base}_bucket{{le=\"{le}\"}} trace_id={trace_id}").unwrap();
+            writeln!(
+                out,
+                "# EXEMPLAR {base}_bucket{{le=\"{le}\"}} trace_id={trace_id}"
+            )
+            .unwrap();
         }
     }
 }
@@ -207,15 +215,11 @@ mod tests {
         h.record_ns_traced(u64::MAX, 23);
         let text = reg.snapshot().to_prometheus();
         assert!(
-            text.contains(
-                "# EXEMPLAR serve_request_latency_ns_bucket{le=\"1023\"} trace_id=17\n"
-            ),
+            text.contains("# EXEMPLAR serve_request_latency_ns_bucket{le=\"1023\"} trace_id=17\n"),
             "{text}"
         );
         assert!(
-            text.contains(
-                "# EXEMPLAR serve_request_latency_ns_bucket{le=\"+Inf\"} trace_id=23\n"
-            ),
+            text.contains("# EXEMPLAR serve_request_latency_ns_bucket{le=\"+Inf\"} trace_id=23\n"),
             "{text}"
         );
         // Comments come after the family's sample lines, never directly

@@ -956,7 +956,10 @@ mod tests {
         h.record_ns_traced(1 << 20, 7);
         h.record_ns_traced(900, 0); // trace id 0 = untraced
         let snap = reg.snapshot();
-        let ex = snap.exemplars.get("serve.request_latency").expect("stamped");
+        let ex = snap
+            .exemplars
+            .get("serve.request_latency")
+            .expect("stamped");
         assert_eq!(ex.len(), 2);
         assert!(ex.contains(&(bucket_index(600), 42)));
         assert!(ex.contains(&(bucket_index(1 << 20), 7)));

@@ -79,14 +79,6 @@ impl MetricsSnapshot {
         self.gauges.get(name).copied().unwrap_or(0)
     }
 
-    /// Total wall seconds recorded under span `name` (summed over
-    /// workers; 0 when the span never fired).
-    pub fn span_secs(&self, name: &str) -> f64 {
-        self.histograms
-            .get(&format!("{SPAN_PREFIX}{name}"))
-            .map_or(0.0, |h| h.sum_ns as f64 / 1e9)
-    }
-
     /// Serializes the snapshot as JSON. Hand-rolled — metric names are
     /// dot-separated identifiers, never in need of escaping, and the repo
     /// carries no serde.
@@ -405,8 +397,6 @@ mod tests {
         assert_eq!(snap.counter("store.hits"), 7);
         assert_eq!(snap.counter("nope"), 0);
         assert_eq!(snap.gauge("nope"), 0);
-        assert_eq!(snap.span_secs("nope"), 0.0);
-        assert!((snap.span_secs("fim.mine") - 0.002).abs() < 1e-9);
     }
 
     #[test]

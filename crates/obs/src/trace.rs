@@ -177,7 +177,12 @@ impl RequestTrace {
                 Some(p) => write!(out, "{p}").unwrap(),
                 None => out.push_str("null"),
             }
-            write!(out, ", \"start_ns\": {}, \"dur_ns\": {}}}", s.start_ns, s.dur_ns).unwrap();
+            write!(
+                out,
+                ", \"start_ns\": {}, \"dur_ns\": {}}}",
+                s.start_ns, s.dur_ns
+            )
+            .unwrap();
         }
         out.push_str("]}");
         out
@@ -402,7 +407,11 @@ impl TraceStore {
     /// The `n` slowest retained traces, slowest first.
     pub fn slowest(&self, n: usize) -> Vec<Arc<RequestTrace>> {
         let mut all = self.all();
-        all.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.trace_id.cmp(&b.trace_id)));
+        all.sort_by(|a, b| {
+            b.total_ns
+                .cmp(&a.total_ns)
+                .then(a.trace_id.cmp(&b.trace_id))
+        });
         all.truncate(n);
         all
     }

@@ -226,11 +226,6 @@ impl WindowedAggregator {
         self.ring.back()
     }
 
-    /// The most recent complete window, if any.
-    pub fn latest(&self) -> Option<&WindowDelta> {
-        self.ring.back()
-    }
-
     /// Iterates the retained windows oldest-first.
     pub fn windows(&self) -> impl Iterator<Item = &WindowDelta> {
         self.ring.iter()

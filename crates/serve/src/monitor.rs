@@ -85,7 +85,8 @@ fn tick<C: Classifier>(shared: &Shared<C>, obs: &MetricsRegistry) {
     shared.cluster.enforce();
 
     if let Some(traces) = &shared.traces {
-        obs.gauge(names::TRACE_RETAINED).set(traces.store.len() as u64);
+        obs.gauge(names::TRACE_RETAINED)
+            .set(traces.store.len() as u64);
         obs.gauge(names::TRACE_DROPPED).set(traces.store.dropped());
         obs.gauge(names::TRACE_EVICTED).set(traces.store.evicted());
         // The monitor tick is the tail-sampler's "window": each tick the
@@ -101,9 +102,13 @@ fn tick<C: Classifier>(shared: &Shared<C>, obs: &MetricsRegistry) {
         // Surface aggregator re-baselines (counter regressions, e.g. a
         // registry swap) as a first-class counter.
         let resets = agg.counter_resets();
-        let published = shared.monitor.published_resets.swap(resets, Ordering::Relaxed);
+        let published = shared
+            .monitor
+            .published_resets
+            .swap(resets, Ordering::Relaxed);
         if resets > published {
-            obs.counter(names::OBS_COUNTER_RESETS).add(resets - published);
+            obs.counter(names::OBS_COUNTER_RESETS)
+                .add(resets - published);
         }
     }
 

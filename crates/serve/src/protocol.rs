@@ -1194,10 +1194,12 @@ mod tests {
         .unwrap_err();
         assert!(err.message.contains("chrome"));
         // Trace selectors are rejected on other methods.
-        let err = parse_request("{\"id\": 1, \"method\": \"explain\", \"row\": 1, \"trace_id\": 2}")
-            .unwrap_err();
+        let err =
+            parse_request("{\"id\": 1, \"method\": \"explain\", \"row\": 1, \"trace_id\": 2}")
+                .unwrap_err();
         assert!(err.message.contains("trace selectors"));
-        let err = parse_request("{\"id\": 1, \"method\": \"stats\", \"errors\": true}").unwrap_err();
+        let err =
+            parse_request("{\"id\": 1, \"method\": \"stats\", \"errors\": true}").unwrap_err();
         assert!(err.message.contains("trace selectors"));
         // Explain parameters are rejected on trace.
         let err = parse_request("{\"id\": 1, \"method\": \"trace\", \"trace_id\": 1, \"row\": 2}")
@@ -1245,10 +1247,7 @@ mod tests {
         assert_eq!(v.get("format").unwrap().as_str(), Some("json"));
         let trace = v.get("trace").unwrap();
         assert_eq!(trace.get("trace_id").unwrap().as_u64(), Some(42));
-        assert_eq!(
-            trace.get("spans").unwrap().as_arr().unwrap().len(),
-            2
-        );
+        assert_eq!(trace.get("spans").unwrap().as_arr().unwrap().len(), 2);
 
         let frame = trace_frame(6, &t, TraceFormat::Chrome);
         assert!(!frame.contains('\n'));

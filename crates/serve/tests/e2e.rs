@@ -260,13 +260,24 @@ fn a_lone_request_on_an_idle_server_is_answered_without_a_second_arrival() {
     let (handle, reg, _) = start_server(2);
     let mut client = connect(&handle);
     let t = Instant::now();
-    let frame = round_trip(&mut client, "{\"id\": 1, \"method\": \"explain\", \"row\": 0}");
+    let frame = round_trip(
+        &mut client,
+        "{\"id\": 1, \"method\": \"explain\", \"row\": 0}",
+    );
     assert_eq!(frame.get("ok").unwrap().as_bool(), Some(true));
-    assert!(t.elapsed() < Duration::from_secs(5), "lone request took {:?}", t.elapsed());
+    assert!(
+        t.elapsed() < Duration::from_secs(5),
+        "lone request took {:?}",
+        t.elapsed()
+    );
     handle.shutdown();
     assert_eq!(handle.wait(), 1);
     let snap = reg.snapshot();
-    assert_eq!(snap.counter(names::SERVE_BATCHES), 1, "one request, one pickup");
+    assert_eq!(
+        snap.counter(names::SERVE_BATCHES),
+        1,
+        "one request, one pickup"
+    );
     let sizes = &snap.value_histograms[names::SERVE_BATCH_SIZE];
     assert_eq!((sizes.count, sizes.sum_ns), (1, 1));
 }
@@ -297,7 +308,10 @@ fn shutdown_mid_burst_answers_every_admitted_request_exactly_once() {
                 "{{\"id\": {i}, \"method\": \"explain\", \"row\": {}}}\n",
                 i % n_rows
             );
-            clients[i % 2].get_mut().write_all(frame.as_bytes()).unwrap();
+            clients[i % 2]
+                .get_mut()
+                .write_all(frame.as_bytes())
+                .unwrap();
         }
         // Read both connections to EOF (the server closes them once the
         // drain is complete). No id may be answered twice; an answer is
@@ -306,7 +320,11 @@ fn shutdown_mid_burst_answers_every_admitted_request_exactly_once() {
         let mut explained = 0u64;
         for client in &mut clients {
             let mut line = String::new();
-            while client.read_line(&mut line).expect("clean EOF after the drain") > 0 {
+            while client
+                .read_line(&mut line)
+                .expect("clean EOF after the drain")
+                > 0
+            {
                 let frame = Json::parse(&line).expect("valid response frame");
                 answers[frame.get("id").unwrap().as_u64().unwrap() as usize] += 1;
                 if frame.get("ok").unwrap().as_bool() == Some(true) {
@@ -325,7 +343,11 @@ fn shutdown_mid_burst_answers_every_admitted_request_exactly_once() {
         assert_eq!(snap.counter(names::SERVE_REQUESTS), explained);
         assert_eq!(snap.counter(names::SERVE_BATCHES), explained);
         assert_eq!(snap.gauge(names::SERVE_DRAINED), 1);
-        assert_eq!(snap.gauge(names::SERVE_BATCH_INFLIGHT), 0, "no worker still busy");
+        assert_eq!(
+            snap.gauge(names::SERVE_BATCH_INFLIGHT),
+            0,
+            "no worker still busy"
+        );
     }
 }
 
@@ -670,7 +692,10 @@ fn slow_request_trace_round_trips_with_nested_spans() {
 
     let mut client = connect(&handle);
     let t = Instant::now();
-    let frame = round_trip(&mut client, "{\"id\": 1, \"method\": \"explain\", \"row\": 0}");
+    let frame = round_trip(
+        &mut client,
+        "{\"id\": 1, \"method\": \"explain\", \"row\": 0}",
+    );
     let wall_ns = t.elapsed().as_nanos() as u64;
     assert_eq!(frame.get("ok").unwrap().as_bool(), Some(true));
     let trace_id = frame
@@ -693,8 +718,13 @@ fn slow_request_trace_round_trips_with_nested_spans() {
 
     let spans = check_span_tree(trace);
     let names: Vec<&str> = spans.iter().map(|(n, ..)| n.as_str()).collect();
-    for stage in ["request", "queue", "batch", "retrieve", "classify", "explain"] {
-        assert!(names.contains(&stage), "span tree lacks '{stage}': {names:?}");
+    for stage in [
+        "request", "queue", "batch", "retrieve", "classify", "explain",
+    ] {
+        assert!(
+            names.contains(&stage),
+            "span tree lacks '{stage}': {names:?}"
+        );
     }
 
     // The slow rule fired, the trace's wall time brackets within the
@@ -704,7 +734,10 @@ fn slow_request_trace_round_trips_with_nested_spans() {
         total_ns >= 50_000_000,
         "chaos latency must push the request past trace_slow, got {total_ns}ns"
     );
-    assert!(total_ns <= wall_ns, "trace total {total_ns}ns exceeds the measured {wall_ns}ns");
+    assert!(
+        total_ns <= wall_ns,
+        "trace total {total_ns}ns exceeds the measured {wall_ns}ns"
+    );
     let stage_sum: u64 = spans
         .iter()
         .filter(|(_, parent, ..)| *parent == Some(2))
@@ -718,7 +751,10 @@ fn slow_request_trace_round_trips_with_nested_spans() {
         .at(&["counters", "samples_fresh"])
         .and_then(Json::as_u64)
         .unwrap();
-    assert!(fresh > 0, "the slow request must have generated fresh samples");
+    assert!(
+        fresh > 0,
+        "the slow request must have generated fresh samples"
+    );
 
     // The same trace renders as a single-request Chrome-trace document.
     let chrome = round_trip(
@@ -856,7 +892,10 @@ fn tail_sampling_retains_every_quarantined_trace_and_samples_the_rest() {
     for (i, &id) in succeeded.iter().enumerate() {
         let frame = round_trip(
             &mut client,
-            &format!("{{\"id\": {}, \"method\": \"trace\", \"trace_id\": {id}}}", 9001 + i),
+            &format!(
+                "{{\"id\": {}, \"method\": \"trace\", \"trace_id\": {id}}}",
+                9001 + i
+            ),
         );
         let ok = frame.get("ok").unwrap().as_bool() == Some(true);
         if shahin::trace_sampled(id, SAMPLE) {
@@ -884,7 +923,9 @@ fn tail_sampling_retains_every_quarantined_trace_and_samples_the_rest() {
 
     // Store totals agree: something was dropped, nothing exceeded the
     // configured bound.
-    let store = errors.get("store").expect("multi-trace frames carry totals");
+    let store = errors
+        .get("store")
+        .expect("multi-trace frames carry totals");
     assert!(store.get("dropped").unwrap().as_u64().unwrap() > 0);
     assert!(store.get("len").unwrap().as_u64().unwrap() <= 256);
 
@@ -895,7 +936,10 @@ fn tail_sampling_retains_every_quarantined_trace_and_samples_the_rest() {
         snap.counter(names::SERVE_QUARANTINED),
         quarantined.len() as u64
     );
-    assert!(snap.gauge(names::TRACE_DROPPED) > 0, "monitor publishes drop totals");
+    assert!(
+        snap.gauge(names::TRACE_DROPPED) > 0,
+        "monitor publishes drop totals"
+    );
 }
 
 #[test]
@@ -961,10 +1005,7 @@ fn snapshot_frame_persists_warm_state_and_a_restart_serves_it_bit_identically() 
 
     let ack = round_trip(&mut client, "{\"id\": 90, \"method\": \"snapshot\"}");
     assert_eq!(ack.get("ok").unwrap().as_bool(), Some(true));
-    assert_eq!(
-        ack.get("snapshot_requested").unwrap().as_bool(),
-        Some(true)
-    );
+    assert_eq!(ack.get("snapshot_requested").unwrap().as_bool(), Some(true));
     // The monitor writes within one poll tick; wait for it.
     let deadline = Instant::now() + Duration::from_secs(10);
     while !snap_path.exists() {

@@ -177,12 +177,6 @@ impl Discretizer {
         self.n_codes[attr]
     }
 
-    /// The bin spec of a numeric attribute, if any.
-    #[inline]
-    pub fn bin_spec(&self, attr: usize) -> Option<&BinSpec> {
-        self.bins[attr].as_ref()
-    }
-
     /// Discretized code of a single feature.
     #[inline]
     pub fn code(&self, attr: usize, feature: Feature) -> u32 {

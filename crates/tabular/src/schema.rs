@@ -93,13 +93,6 @@ impl Schema {
             .collect()
     }
 
-    /// Indices of all numeric attributes.
-    pub fn numeric_indices(&self) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&i| !self.attrs[i].kind.is_categorical())
-            .collect()
-    }
-
     /// Domain cardinality of categorical attribute `idx`; `None` if numeric.
     pub fn cardinality(&self, idx: usize) -> Option<u32> {
         match self.attrs[idx].kind {
@@ -153,7 +146,6 @@ mod tests {
         let s = sample_schema();
         assert_eq!(s.len(), 4);
         assert_eq!(s.categorical_indices(), vec![0, 2]);
-        assert_eq!(s.numeric_indices(), vec![1, 3]);
     }
 
     #[test]

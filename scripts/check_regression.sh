@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Perf-regression gate: reruns the parallel-driver, observability-overhead,
-# serving, and data-layout benchmarks at CI scale and diffs the fresh
+# Perf-regression gate: reruns the parallel-driver, observability-overhead
+# and serving benchmarks at CI scale and diffs the fresh
 # artifacts against the committed baselines under baselines/ci/ with
 # bench_compare. Exits non-zero when a deterministic count changed or a
 # wall-time/speedup tolerance was exceeded.
@@ -21,9 +21,6 @@
 #   SHAHIN_REG_TRACE_REPS  tracing-arm repetitions           (default 7)
 #   SHAHIN_REG_TENANCY_REQS   tenancy-arm Zipf-mixed requests (default 60)
 #   SHAHIN_REG_TENANCY_IDLE_MS tenancy keepalive before evict (default 1500)
-#   SHAHIN_REG_LAYOUT_BATCH   tuples per layout-bench batch  (default 1000)
-#   SHAHIN_REG_LAYOUT_THREADS layout thread counts swept     (default 1,8)
-#   SHAHIN_REG_LAYOUT_REPS    layout runs per arm, min kept  (default 3)
 #   SHAHIN_REG_OUT         where fresh artifacts land        (default mktemp)
 # Comparison tolerances: see bench_compare (SHAHIN_CMP_TOL_*).
 set -euo pipefail
@@ -41,9 +38,6 @@ OBS_LIVE_REPS="${SHAHIN_REG_OBS_LIVE_REPS:-7}"
 TRACE_REPS="${SHAHIN_REG_TRACE_REPS:-7}"
 TENANCY_REQS="${SHAHIN_REG_TENANCY_REQS:-60}"
 TENANCY_IDLE_MS="${SHAHIN_REG_TENANCY_IDLE_MS:-1500}"
-LAYOUT_BATCH="${SHAHIN_REG_LAYOUT_BATCH:-1000}"
-LAYOUT_THREADS="${SHAHIN_REG_LAYOUT_THREADS:-1,8}"
-LAYOUT_REPS="${SHAHIN_REG_LAYOUT_REPS:-3}"
 
 if [[ "${1:-}" == "--update-baselines" ]]; then
     OUT="$BASELINE_DIR"
@@ -54,7 +48,7 @@ else
 fi
 
 cargo build --release -p shahin-bench \
-    --bin bench_parallel --bin bench_obs --bin bench_serve --bin bench_layout \
+    --bin bench_parallel --bin bench_obs --bin bench_serve \
     --bin bench_compare
 
 # The obs bench runs first: its arms are short (~100ms) and timing-
@@ -84,11 +78,6 @@ SHAHIN_PAR_BATCH="$BATCH" SHAHIN_PAR_LATENCY_US="$LATENCY" \
     SHAHIN_PAR_THREADS="$THREADS" SHAHIN_PAR_OUT="$OUT/BENCH_parallel.json" \
     target/release/bench_parallel
 
-echo "== data-layout benchmark (batch=$LAYOUT_BATCH, threads=$LAYOUT_THREADS, reps=$LAYOUT_REPS)"
-SHAHIN_LAYOUT_BATCH="$LAYOUT_BATCH" SHAHIN_LAYOUT_THREADS="$LAYOUT_THREADS" \
-    SHAHIN_LAYOUT_REPS="$LAYOUT_REPS" SHAHIN_LAYOUT_OUT="$OUT/BENCH_layout.json" \
-    target/release/bench_layout
-
 if [[ "${1:-}" == "--update-baselines" ]]; then
     echo "baselines regenerated under $BASELINE_DIR/ — review and commit them"
     exit 0
@@ -102,5 +91,4 @@ target/release/bench_compare obs_live "$BASELINE_DIR/BENCH_obs_live.json" "$OUT/
 target/release/bench_compare trace "$BASELINE_DIR/BENCH_trace.json" "$OUT/BENCH_trace.json"
 target/release/bench_compare persist "$BASELINE_DIR/BENCH_persist.json" "$OUT/BENCH_persist.json"
 target/release/bench_compare tenancy "$BASELINE_DIR/BENCH_tenancy.json" "$OUT/BENCH_tenancy.json"
-target/release/bench_compare layout "$BASELINE_DIR/BENCH_layout.json" "$OUT/BENCH_layout.json"
 echo "perf-regression gate passed (fresh artifacts in $OUT)"

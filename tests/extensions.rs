@@ -1,15 +1,13 @@
 //! Integration tests for the extensions beyond the paper's core scope:
-//! model-agnosticism (GBM black box), FP-Growth mining inside the batch
-//! driver, adaptive LIME, parallel drivers, summarization, and CSV
-//! round-trips feeding the pipeline.
+//! model-agnosticism (GBM black box), adaptive LIME, parallel drivers,
+//! summarization, and CSV round-trips feeding the pipeline.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use shahin::metrics::speedup_invocations;
 use shahin::{
-    run, summarize_attributions, top_k_overlap, BatchConfig, ExplainerKind, Method, Miner,
-    ShahinBatch,
+    run, summarize_attributions, top_k_overlap, BatchConfig, ExplainerKind, Method, ShahinBatch,
 };
 use shahin_explain::{
     local_fidelity, ExplainContext, FeatureWeights, KernelShapExplainer, LimeExplainer, LimeParams,
@@ -63,29 +61,6 @@ fn shahin_is_model_agnostic_gbm_black_box() {
     );
     let s = speedup_invocations(&seq.metrics, &opt.metrics);
     assert!(s > 1.5, "GBM black box broke the speedup: {s:.2}");
-}
-
-#[test]
-fn fpgrowth_miner_produces_equivalent_batch_results() {
-    let (ctx, clf, batch) = gbm_world(2);
-    let lime = LimeExplainer::new(LimeParams {
-        n_samples: 120,
-        ..Default::default()
-    });
-    let ap = ShahinBatch::new(BatchConfig {
-        miner: Miner::Apriori,
-        ..Default::default()
-    })
-    .explain_lime(&ctx, &clf, &batch, &lime, 7);
-    let fp = ShahinBatch::new(BatchConfig {
-        miner: Miner::FpGrowth,
-        ..Default::default()
-    })
-    .explain_lime(&ctx, &clf, &batch, &lime, 7);
-    // Identical itemsets + identical seeds → identical explanations.
-    assert_eq!(ap.metrics.n_frequent, fp.metrics.n_frequent);
-    assert_eq!(ap.explanations, fp.explanations);
-    assert_eq!(ap.metrics.invocations, fp.metrics.invocations);
 }
 
 #[test]

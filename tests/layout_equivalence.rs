@@ -1,18 +1,17 @@
 //! Equivalence tests for the cache-conscious layouts (DESIGN.md §5g): the
-//! bitset containment engine must agree bit-for-bit with the legacy
-//! postings index, the CSR-flattened forest with the nested trees (and its
-//! multi-row kernel with its single-row walk), and the end-to-end drivers
-//! must produce identical explanations and invocation counts under either
-//! representation at 1/2/8 threads.
+//! bitset containment engine must agree with the brute-force containment
+//! filter, the CSR-flattened forest's multi-row kernel and threaded
+//! dispatch with its single-row walk, and the end-to-end drivers must
+//! produce identical explanations and invocation counts at 1/2/8 threads.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use shahin::{run, BatchConfig, ExplainerKind, Explanation, MatchEngine, Method};
+use shahin::{run, BatchConfig, ExplainerKind, Explanation, Method};
 use shahin_explain::{ExplainContext, KernelShapExplainer, LimeExplainer, LimeParams, ShapParams};
-use shahin_fim::{BitsetDomain, Item, Itemset, ItemsetIndex, MatchScratch};
-use shahin_model::{Classifier, CountingClassifier, ForestLayout, ForestParams, RandomForest};
+use shahin_fim::{BitsetDomain, Item, Itemset, MatchScratch};
+use shahin_model::{Classifier, CountingClassifier, ForestParams, RandomForest};
 use shahin_tabular::{train_test_split, Dataset, DatasetPreset, Feature};
 
 /// A random non-empty itemset over `n_attrs` attributes with codes below
@@ -25,23 +24,19 @@ fn itemset_strategy(n_attrs: usize, card: u32) -> impl Strategy<Value = Itemset>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Bitset containment == postings containment == brute force, on
-    /// random families and rows. `n_attrs × card` ranges past 64 so the
+    /// Bitset containment == brute force, on random families and rows. `n_attrs × card` ranges past 64 so the
     /// multi-word (`W > 1`) mask path is exercised, and rows draw codes
     /// beyond `card` so out-of-dictionary handling is covered.
     #[test]
-    fn bitset_matches_postings_and_brute_force(
+    fn bitset_matches_brute_force(
         sets in proptest::collection::vec(itemset_strategy(12, 10), 1..24),
         rows in proptest::collection::vec(
             proptest::collection::vec(0u32..14, 12), 1..16),
     ) {
         let domain = BitsetDomain::new(&sets);
-        let index = ItemsetIndex::new(&sets);
         let mut scratch = MatchScratch::new();
         for row in &rows {
             let via_bits = domain.contained_in_with(row, &mut scratch);
-            let via_postings = index.contained_in_with(row, &mut scratch.counts);
-            prop_assert_eq!(&via_bits, &via_postings, "row {:?}", row);
             let brute: Vec<u32> = sets
                 .iter()
                 .enumerate()
@@ -100,21 +95,22 @@ fn forest_world() -> (Dataset, RandomForest, ExplainContext, Dataset) {
     (split.train, forest, ctx, batch)
 }
 
+/// The threaded batch dispatch returns, at every worker count, exactly the
+/// single-row walk's probabilities. 600 rows (the training rows, cycled),
+/// so 2 and 8 workers split.
 #[test]
-fn flat_and_nested_predictions_are_bit_identical_at_every_worker_count() {
+fn flat_predictions_are_bit_identical_at_every_worker_count() {
     let (train, forest, _, _) = forest_world();
-    assert_eq!(forest.layout(), ForestLayout::Flat);
-    let nested = forest.clone().with_layout(ForestLayout::Nested);
-    let instances: Vec<Vec<shahin_tabular::Feature>> = (0..train.n_rows().min(200))
-        .map(|r| train.instance(r))
+    let instances: Vec<Vec<Feature>> = (0..600)
+        .map(|r| train.instance(r % train.n_rows()))
         .collect();
+    let singles: Vec<f64> = instances.iter().map(|i| forest.predict_proba(i)).collect();
     for workers in [1usize, 2, 8] {
-        let flat_out = forest.predict_batch_with(&instances, workers);
-        let nested_out = nested.predict_batch_with(&instances, workers);
-        assert_eq!(flat_out, nested_out, "workers {workers}");
-    }
-    for inst in &instances {
-        assert_eq!(forest.predict_proba(inst), nested.predict_proba(inst));
+        assert_eq!(
+            forest.predict_batch_with(&instances, workers),
+            singles,
+            "workers {workers}"
+        );
     }
 }
 
@@ -204,15 +200,13 @@ fn assert_same_explanations(a: &[Explanation], b: &[Explanation], what: &str) {
     }
 }
 
-/// The tentpole guarantee, end-to-end: swapping both hot-path layouts at
-/// once (bitset+flat vs postings+nested) changes nothing observable — the
-/// LIME and SHAP drivers return bit-identical explanations and invocation
-/// counts at 1, 2 and 8 threads.
+/// End to end: the LIME and SHAP drivers return bit-identical
+/// explanations and invocation counts at 1, 2 and 8 threads, whichever
+/// worker claims which block of rows.
 #[test]
-fn drivers_are_bit_identical_across_layouts_and_threads() {
+fn drivers_are_bit_identical_across_threads() {
     let (_, forest, ctx, batch) = forest_world();
-    let flat_clf = CountingClassifier::new(forest.clone());
-    let nested_clf = CountingClassifier::new(forest.with_layout(ForestLayout::Nested));
+    let clf = CountingClassifier::new(forest);
     let kinds = [
         ExplainerKind::Lime(LimeExplainer::new(LimeParams {
             n_samples: 120,
@@ -224,42 +218,25 @@ fn drivers_are_bit_identical_across_layouts_and_threads() {
         })),
     ];
     for kind in &kinds {
-        for threads in [1usize, 2, 8] {
-            let config = |engine| BatchConfig {
+        let runs = [1usize, 2, 8].map(|threads| {
+            let config = BatchConfig {
                 n_threads: Some(threads),
-                match_engine: engine,
                 ..Default::default()
             };
-            let method = |engine| {
-                if threads == 1 {
-                    Method::Batch(config(engine))
-                } else {
-                    Method::BatchParallel(config(engine))
-                }
+            let method = if threads == 1 {
+                Method::Batch(config)
+            } else {
+                Method::BatchParallel(config)
             };
-            flat_clf.reset();
-            let new_run = run(
-                &method(MatchEngine::Bitset),
-                kind,
-                &ctx,
-                &flat_clf,
-                &batch,
-                23,
-            );
-            let new_inv = flat_clf.invocations();
-            nested_clf.reset();
-            let old_run = run(
-                &method(MatchEngine::Postings),
-                kind,
-                &ctx,
-                &nested_clf,
-                &batch,
-                23,
-            );
-            let old_inv = nested_clf.invocations();
+            clf.reset();
+            let report = run(&method, kind, &ctx, &clf, &batch, 23);
+            (threads, report.explanations, clf.invocations())
+        });
+        let (_, base, base_inv) = &runs[0];
+        for (threads, explanations, inv) in &runs[1..] {
             let what = format!("{} x{threads}", kind.name());
-            assert_eq!(new_inv, old_inv, "{what}: invocation counts differ");
-            assert_same_explanations(&new_run.explanations, &old_run.explanations, &what);
+            assert_eq!(inv, base_inv, "{what}: invocation counts differ");
+            assert_same_explanations(explanations, base, &what);
         }
     }
 }

@@ -43,7 +43,15 @@ fn donor_bytes() -> &'static [u8] {
     BYTES.get_or_init(|| {
         let (ctx, clf, warm) = setup();
         let reg = MetricsRegistry::new();
-        let donor = WarmEngine::prime(BatchConfig::default(), explainer(), ctx, clf, warm, SEED, &reg);
+        let donor = WarmEngine::prime(
+            BatchConfig::default(),
+            explainer(),
+            ctx,
+            clf,
+            warm,
+            SEED,
+            &reg,
+        );
         donor.snapshot_bytes()
     })
 }
@@ -87,7 +95,10 @@ fn rejected_snapshots_degrade_to_a_cold_start() {
     );
     let err = rejection.expect("damaged snapshot must be rejected");
     assert!(!err.kind().is_empty());
-    assert!(eng.invocations() > 0, "cold prime re-materialized the store");
+    assert!(
+        eng.invocations() > 0,
+        "cold prime re-materialized the store"
+    );
     assert!(eng.store_entries() > 0, "cold start still serves warm");
     let snap = reg.snapshot();
     assert_eq!(snap.counter(names::PERSIST_LOAD_REJECTED), 1);
