@@ -1,122 +1,33 @@
 //! The paper's baseline approaches: Sequential, Dist-k, and GREEDY (§4.1).
+//!
+//! Each is a configuration of the per-tuple [`crate::kernel`], differing
+//! from Shahin only in what a tuple may reuse and how rows are scheduled:
+//!
+//! * **Sequential** reuses nothing (an empty pool, plain Anchor) and
+//!   explains the batch row by row on the calling thread.
+//! * **Dist-k** is Sequential scheduled in `k` timed [`dist_k`] shards.
+//! * **GREEDY** reuses whatever its byte-budgeted LRU cache holds for the
+//!   tuple, and caches every perturbation it labels fresh; Anchor keeps
+//!   its per-rule evidence in the shared caches, over an empty store.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use shahin_explain::anchor::RuleSampler;
-use shahin_explain::{
-    draw_rule_labels, estimate_base_value, AnchorExplainer, AnchorExplanation, ExplainContext,
-    FeatureWeights, KernelShapExplainer, LabeledSample, LimeExplainer, NoSource,
-};
-use shahin_fim::Itemset;
+use shahin_explain::ExplainContext;
+use shahin_fim::MatchScratch;
 use shahin_model::{Classifier, CountingClassifier};
-use shahin_tabular::{Dataset, Feature};
+use shahin_tabular::Dataset;
 
+use crate::anchor_cache::SharedAnchorCaches;
+use crate::batch::estimate_base_value_guarded;
 use crate::greedy_cache::TaggedLruCache;
-use crate::metrics::{BatchReport, BatchResult, RunMetrics};
-use crate::runner::per_tuple_seed;
-use crate::shap_source::agreement_coalitions;
-
-// ---------------------------------------------------------------------------
-// Sequential
-// ---------------------------------------------------------------------------
-
-/// Explains the batch one tuple at a time with plain LIME.
-pub fn sequential_lime<C: Classifier>(
-    ctx: &ExplainContext,
-    clf: &CountingClassifier<C>,
-    batch: &Dataset,
-    lime: &LimeExplainer,
-    seed: u64,
-) -> BatchResult<FeatureWeights> {
-    let start_inv = clf.invocations();
-    let wall0 = Instant::now();
-    let explanations = (0..batch.n_rows())
-        .map(|row| {
-            let mut rng = StdRng::seed_from_u64(per_tuple_seed(seed, row));
-            lime.explain(ctx, clf, &batch.instance(row), &mut rng)
-        })
-        .collect();
-    BatchResult {
-        explanations,
-        report: BatchReport::default(),
-        metrics: RunMetrics {
-            invocations: clf.invocations() - start_inv,
-            wall: wall0.elapsed(),
-            n_tuples: batch.n_rows(),
-            ..Default::default()
-        },
-    }
-}
-
-/// Explains the batch one tuple at a time with plain Anchor.
-pub fn sequential_anchor<C: Classifier>(
-    ctx: &ExplainContext,
-    clf: &CountingClassifier<C>,
-    batch: &Dataset,
-    anchor: &AnchorExplainer,
-    seed: u64,
-) -> BatchResult<AnchorExplanation> {
-    let start_inv = clf.invocations();
-    let wall0 = Instant::now();
-    let explanations = (0..batch.n_rows())
-        .map(|row| {
-            let mut rng = StdRng::seed_from_u64(per_tuple_seed(seed, row));
-            anchor.explain(ctx, clf, &batch.instance(row), &mut rng)
-        })
-        .collect();
-    BatchResult {
-        explanations,
-        report: BatchReport::default(),
-        metrics: RunMetrics {
-            invocations: clf.invocations() - start_inv,
-            wall: wall0.elapsed(),
-            n_tuples: batch.n_rows(),
-            ..Default::default()
-        },
-    }
-}
-
-/// Explains the batch one tuple at a time with plain KernelSHAP. The base
-/// value is estimated once (`base_samples` invocations), exactly as the
-/// reference implementation's fixed background set.
-pub fn sequential_shap<C: Classifier>(
-    ctx: &ExplainContext,
-    clf: &CountingClassifier<C>,
-    batch: &Dataset,
-    shap: &KernelShapExplainer,
-    base_samples: usize,
-    seed: u64,
-) -> BatchResult<FeatureWeights> {
-    let start_inv = clf.invocations();
-    let wall0 = Instant::now();
-    let mut base_rng = StdRng::seed_from_u64(seed ^ 0xBA5E);
-    let base = estimate_base_value(ctx, clf, base_samples, &mut base_rng);
-    let explanations = (0..batch.n_rows())
-        .map(|row| {
-            let mut rng = StdRng::seed_from_u64(per_tuple_seed(seed, row));
-            shap.explain(ctx, clf, &batch.instance(row), base, &mut rng)
-        })
-        .collect();
-    BatchResult {
-        explanations,
-        report: BatchReport::default(),
-        metrics: RunMetrics {
-            invocations: clf.invocations() - start_inv,
-            wall: wall0.elapsed(),
-            n_tuples: batch.n_rows(),
-            ..Default::default()
-        },
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dist-k
-// ---------------------------------------------------------------------------
+use crate::kernel::{Kernel, Pool, RecordingClassifier, Tuple, TupleWorker};
+use crate::metrics::{OverheadBreakdown, RunMetrics};
+use crate::obs::{MetricsRegistry, ProvenanceCtx};
+use crate::quarantine::collect_outcomes;
+use crate::runner::{ExplainerKind, Method, RunReport};
 
 /// Simulates spreading `work(row)` over `k` machines: the rows are split
 /// into `k` contiguous shards, each shard is executed (and timed) in
@@ -155,364 +66,111 @@ pub fn dist_k<T>(
     (results, avg, max)
 }
 
-/// Dist-k LIME: the batch split over `k` threads, each running the
-/// sequential algorithm on its shard.
-pub fn dist_k_lime<C: Classifier>(
-    ctx: &ExplainContext,
-    clf: &CountingClassifier<C>,
-    batch: &Dataset,
-    lime: &LimeExplainer,
-    k: usize,
-    seed: u64,
-) -> BatchResult<FeatureWeights> {
-    let start_inv = clf.invocations();
-    let (explanations, avg, _max) = dist_k(batch.n_rows(), k, |row| {
-        let mut rng = StdRng::seed_from_u64(per_tuple_seed(seed, row));
-        lime.explain(ctx, clf, &batch.instance(row), &mut rng)
-    });
-    BatchResult {
-        explanations,
-        report: BatchReport::default(),
-        metrics: RunMetrics {
-            invocations: clf.invocations() - start_inv,
-            wall: avg,
-            n_tuples: batch.n_rows(),
-            ..Default::default()
-        },
-    }
-}
-
-/// Dist-k Anchor.
-pub fn dist_k_anchor<C: Classifier>(
-    ctx: &ExplainContext,
-    clf: &CountingClassifier<C>,
-    batch: &Dataset,
-    anchor: &AnchorExplainer,
-    k: usize,
-    seed: u64,
-) -> BatchResult<AnchorExplanation> {
-    let start_inv = clf.invocations();
-    let (explanations, avg, _max) = dist_k(batch.n_rows(), k, |row| {
-        let mut rng = StdRng::seed_from_u64(per_tuple_seed(seed, row));
-        anchor.explain(ctx, clf, &batch.instance(row), &mut rng)
-    });
-    BatchResult {
-        explanations,
-        report: BatchReport::default(),
-        metrics: RunMetrics {
-            invocations: clf.invocations() - start_inv,
-            wall: avg,
-            n_tuples: batch.n_rows(),
-            ..Default::default()
-        },
-    }
-}
-
-/// Dist-k KernelSHAP.
-pub fn dist_k_shap<C: Classifier>(
-    ctx: &ExplainContext,
-    clf: &CountingClassifier<C>,
-    batch: &Dataset,
-    shap: &KernelShapExplainer,
-    base_samples: usize,
-    k: usize,
-    seed: u64,
-) -> BatchResult<FeatureWeights> {
-    let start_inv = clf.invocations();
-    let mut base_rng = StdRng::seed_from_u64(seed ^ 0xBA5E);
-    let base = estimate_base_value(ctx, clf, base_samples, &mut base_rng);
-    let (explanations, avg, _max) = dist_k(batch.n_rows(), k, |row| {
-        let mut rng = StdRng::seed_from_u64(per_tuple_seed(seed, row));
-        shap.explain(ctx, clf, &batch.instance(row), base, &mut rng)
-    });
-    BatchResult {
-        explanations,
-        report: BatchReport::default(),
-        metrics: RunMetrics {
-            invocations: clf.invocations() - start_inv,
-            wall: avg,
-            n_tuples: batch.n_rows(),
-            ..Default::default()
-        },
-    }
-}
-
-// ---------------------------------------------------------------------------
-// GREEDY
-// ---------------------------------------------------------------------------
-
-/// Wraps a classifier and records every invocation as a discretized
-/// [`LabeledSample`], so GREEDY and the streaming driver can persist
-/// whatever perturbations the (unmodified) explainer happened to generate.
-///
-/// A row is logged only once its dispatch returns. The explainers label a
-/// tuple's fresh rows in one flat dispatch, so a dispatch that panics logs
-/// none of its rows, not the rows before the one that panicked.
-pub(crate) struct RecordingClassifier<'a, C> {
-    inner: &'a C,
-    ctx: &'a ExplainContext,
-    /// `None` when recording is off: calls pass straight through.
-    log: Option<Mutex<Vec<LabeledSample>>>,
-}
-
-impl<'a, C: Classifier> RecordingClassifier<'a, C> {
-    pub(crate) fn new(inner: &'a C, ctx: &'a ExplainContext, record: bool) -> Self {
-        RecordingClassifier {
-            inner,
-            ctx,
-            log: record.then(|| Mutex::new(Vec::new())),
-        }
-    }
-
-    /// The samples recorded since the last call, in call order.
-    pub(crate) fn take_log(&self) -> Vec<LabeledSample> {
-        self.log
-            .as_ref()
-            .map(|log| std::mem::take(&mut *log.lock()))
-            .unwrap_or_default()
-    }
-}
-
-impl<C: Classifier> Classifier for RecordingClassifier<'_, C> {
-    fn predict_proba(&self, instance: &[Feature]) -> f64 {
-        let proba = self.inner.predict_proba(instance);
-        if let Some(log) = &self.log {
-            let codes = self.ctx.discretizer().encode_instance(instance);
-            log.lock().push(LabeledSample {
-                codes: codes.into_boxed_slice(),
-                proba,
-            });
-        }
-        proba
-    }
-
-    /// One dispatch to the inner classifier, then the rows are recorded in
-    /// row order: the same log as one call per row.
-    fn predict_proba_flat(&self, rows: &[Feature], n_attrs: usize) -> Vec<f64> {
-        let probas = self.inner.predict_proba_flat(rows, n_attrs);
-        if let (Some(log), true) = (&self.log, n_attrs > 0) {
-            let mut log = log.lock();
-            for (row, &proba) in rows.chunks_exact(n_attrs).zip(&probas) {
-                let codes = self.ctx.discretizer().encode_instance(row);
-                log.push(LabeledSample {
-                    codes: codes.into_boxed_slice(),
-                    proba,
-                });
-            }
-        }
-        probas
-    }
-}
-
 /// The GREEDY baseline: an LRU perturbation cache with no planning. Stores
 /// every perturbation any explanation generated; reuses whatever fits.
 #[derive(Clone, Debug)]
-pub struct Greedy {
-    /// Cache byte budget (paper default: 10× the batch bytes).
-    pub budget_bytes: usize,
-}
+pub struct Greedy;
 
 impl Greedy {
-    /// Creates a GREEDY baseline with the given cache budget.
-    pub fn new(budget_bytes: usize) -> Greedy {
-        Greedy { budget_bytes }
-    }
-
     /// The paper's default budget: 10× the (discretized) batch size.
     pub fn default_budget(batch: &Dataset) -> usize {
         10 * batch.n_rows() * batch.n_attrs() * std::mem::size_of::<u32>()
     }
+}
 
-    /// GREEDY LIME: reuse cached samples, record and cache fresh ones.
-    pub fn explain_lime<C: Classifier>(
-        &self,
-        ctx: &ExplainContext,
-        clf: &CountingClassifier<C>,
-        batch: &Dataset,
-        lime: &LimeExplainer,
-        seed: u64,
-    ) -> BatchResult<FeatureWeights> {
-        let start_inv = clf.invocations();
-        let wall0 = Instant::now();
-        let mut cache = TaggedLruCache::new(self.budget_bytes);
-        let table = ctx.discretizer().encode_dataset(batch);
-        let mut explanations = Vec::with_capacity(batch.n_rows());
-        for row in 0..batch.n_rows() {
-            let mut rng = StdRng::seed_from_u64(per_tuple_seed(seed, row));
-            let codes = table.row(row);
-            let hits: Vec<LabeledSample> = cache
-                .lookup(&codes, lime.params.n_samples.saturating_sub(1))
-                .into_iter()
-                .cloned()
-                .collect();
-            let recorder = RecordingClassifier::new(clf, ctx, true);
-            let e = lime.explain_with_reused(
-                ctx,
-                &recorder,
-                &batch.instance(row),
-                hits.iter(),
-                &mut rng,
-            );
-            // First recorded call is the instance itself; cache the rest.
+/// Runs a baseline `method` (Sequential, Dist-k or Greedy) over the batch.
+pub(crate) fn explain<C: Classifier>(
+    method: &Method,
+    explainer: &ExplainerKind,
+    ctx: &ExplainContext,
+    clf: &CountingClassifier<C>,
+    batch: &Dataset,
+    seed: u64,
+    obs: &MetricsRegistry,
+) -> RunReport {
+    let start_inv = clf.invocations();
+    let wall0 = Instant::now();
+    let mut base_rng = StdRng::seed_from_u64(seed ^ 0xBA5E);
+    let base = estimate_base_value_guarded(explainer, ctx, clf, &mut base_rng, obs);
+    let explainer = explainer.clone().with_obs(obs);
+    let mut cache = match method {
+        Method::Greedy(budget) => Some(TaggedLruCache::new(*budget)),
+        _ => None,
+    };
+    // Greedy caches what LIME and SHAP label fresh; Anchor's draws are
+    // rule-conditioned evidence, kept in the shared caches instead.
+    let absorbs = cache.is_some() && !matches!(explainer, ExplainerKind::Anchor(_));
+    let recorder = RecordingClassifier::new(clf, ctx, absorbs);
+    let caches = SharedAnchorCaches::with_obs(obs);
+    let kernel = Kernel {
+        explainer: &explainer,
+        ctx,
+        clf: &recorder,
+        caches: cache.is_some().then_some(&caches),
+        base,
+        seed,
+    };
+    let prov = ProvenanceCtx::new(obs, &method.name(), explainer.name());
+    let mut worker = TupleWorker::new(obs, prov);
+    let explain_row = |row: usize| {
+        let instance = batch.instance(row);
+        let codes = ctx.discretizer().encode_instance(&instance);
+        let tuple = Tuple {
+            row,
+            codes: &codes,
+            instance: &instance,
+            epoch: 0,
+        };
+        let loose = cache.as_mut();
+        let fetch = move |_: &mut MatchScratch| loose.map_or_else(Pool::empty, Pool::loose);
+        let outcome = kernel.explain(tuple, fetch, &mut worker);
+        if let Some(cache) = &mut cache {
+            // The first recorded call is the instance's own probe.
             for s in recorder.take_log().into_iter().skip(1) {
                 cache.insert(&codes, s);
             }
-            explanations.push(e);
         }
-        BatchResult {
-            explanations,
-            report: BatchReport::default(),
-            metrics: RunMetrics {
-                invocations: clf.invocations() - start_inv,
-                wall: wall0.elapsed(),
-                store_bytes: cache.used_bytes(),
-                n_tuples: batch.n_rows(),
+        outcome
+    };
+    let (outcomes, wall) = match method {
+        Method::Dist(k) => {
+            let (outcomes, avg, _max) = dist_k(batch.n_rows(), *k, explain_row);
+            (outcomes, avg)
+        }
+        _ => {
+            let outcomes: Vec<_> = (0..batch.n_rows()).map(explain_row).collect();
+            (outcomes, wall0.elapsed())
+        }
+    };
+    let (explanations, report) = collect_outcomes(outcomes);
+    RunReport {
+        explanations,
+        report,
+        metrics: RunMetrics {
+            invocations: clf.invocations() - start_inv,
+            wall,
+            overhead: OverheadBreakdown {
+                retrieval: worker.retrieval,
                 ..Default::default()
             },
-        }
-    }
-
-    /// GREEDY KernelSHAP: cached samples re-enter as coalitions over their
-    /// full agreement set with the current tuple; fresh perturbations are
-    /// recorded and cached.
-    #[allow(clippy::too_many_arguments)]
-    pub fn explain_shap<C: Classifier>(
-        &self,
-        ctx: &ExplainContext,
-        clf: &CountingClassifier<C>,
-        batch: &Dataset,
-        shap: &KernelShapExplainer,
-        base_samples: usize,
-        seed: u64,
-    ) -> BatchResult<FeatureWeights> {
-        let start_inv = clf.invocations();
-        let wall0 = Instant::now();
-        let mut base_rng = StdRng::seed_from_u64(seed ^ 0xBA5E);
-        let base = estimate_base_value(ctx, clf, base_samples, &mut base_rng);
-        let mut cache = TaggedLruCache::new(self.budget_bytes);
-        let table = ctx.discretizer().encode_dataset(batch);
-        let mut explanations = Vec::with_capacity(batch.n_rows());
-        for row in 0..batch.n_rows() {
-            let mut rng = StdRng::seed_from_u64(per_tuple_seed(seed, row));
-            let codes = table.row(row);
-            let pooled =
-                agreement_coalitions(&cache.lookup(&codes, shap.params.n_samples / 2), &codes);
-            let recorder = RecordingClassifier::new(clf, ctx, true);
-            let e = shap.explain_with(
-                ctx,
-                &recorder,
-                &batch.instance(row),
-                base,
-                pooled,
-                &mut NoSource,
-                &mut rng,
-            );
-            for s in recorder.take_log().into_iter().skip(1) {
-                cache.insert(&codes, s);
-            }
-            explanations.push(e);
-        }
-        BatchResult {
-            explanations,
-            report: BatchReport::default(),
-            metrics: RunMetrics {
-                invocations: clf.invocations() - start_inv,
-                wall: wall0.elapsed(),
-                store_bytes: cache.used_bytes(),
-                n_tuples: batch.n_rows(),
-                ..Default::default()
-            },
-        }
-    }
-
-    /// GREEDY Anchor: per-rule precision counts are kept and reused across
-    /// tuples, but there is no frequent-itemset bootstrap and no coverage
-    /// memoization.
-    pub fn explain_anchor<C: Classifier>(
-        &self,
-        ctx: &ExplainContext,
-        clf: &CountingClassifier<C>,
-        batch: &Dataset,
-        anchor: &AnchorExplainer,
-        seed: u64,
-    ) -> BatchResult<AnchorExplanation> {
-        let start_inv = clf.invocations();
-        let wall0 = Instant::now();
-        let table = ctx.discretizer().encode_dataset(batch);
-        let mut counts = HashMap::new();
-        let mut explanations = Vec::with_capacity(batch.n_rows());
-        for row in 0..batch.n_rows() {
-            let instance = batch.instance(row);
-            let target = clf.predict(&instance);
-            let codes = table.row(row);
-            let mut sampler =
-                GreedyRuleSampler::new(ctx, clf, &mut counts, per_tuple_seed(seed, row));
-            explanations.push(anchor.explain_with_sampler(&codes, target, &mut sampler));
-        }
-        BatchResult {
-            explanations,
-            report: BatchReport::default(),
-            metrics: RunMetrics {
-                invocations: clf.invocations() - start_inv,
-                wall: wall0.elapsed(),
-                n_tuples: batch.n_rows(),
-                ..Default::default()
-            },
-        }
-    }
-}
-
-/// Greedy Anchor sampler: exact-rule count reuse only. `counts` carries
-/// each rule's `(n, positive)` from tuple to tuple.
-pub struct GreedyRuleSampler<'a, C> {
-    ctx: &'a ExplainContext,
-    clf: &'a C,
-    counts: &'a mut HashMap<Itemset, (u64, u64)>,
-    rng: StdRng,
-    rows: Vec<Feature>,
-}
-
-impl<'a, C: Classifier> GreedyRuleSampler<'a, C> {
-    /// Creates a sampler for one tuple with its own deterministic RNG.
-    pub fn new(
-        ctx: &'a ExplainContext,
-        clf: &'a C,
-        counts: &'a mut HashMap<Itemset, (u64, u64)>,
-        seed: u64,
-    ) -> Self {
-        GreedyRuleSampler {
-            ctx,
-            clf,
-            counts,
-            rng: StdRng::seed_from_u64(seed),
-            rows: Vec::new(),
-        }
-    }
-}
-
-impl<C: Classifier> RuleSampler for GreedyRuleSampler<'_, C> {
-    fn draw(&mut self, rule: &Itemset, k: usize) -> (u64, u64) {
-        let (_, pos) = draw_rule_labels(self.ctx, self.clf, rule, k, &mut self.rng, &mut self.rows);
-        let e = self.counts.entry(rule.clone()).or_insert((0, 0));
-        e.0 += k as u64;
-        e.1 += pos;
-        (k as u64, pos)
-    }
-
-    fn prior(&mut self, rule: &Itemset) -> (u64, u64) {
-        self.counts.get(rule).copied().unwrap_or((0, 0))
-    }
-
-    fn coverage(&mut self, rule: &Itemset) -> f64 {
-        shahin_explain::anchor::rule_coverage(self.ctx.coverage_sample(), rule)
+            store_bytes: cache.as_ref().map_or(0, TaggedLruCache::used_bytes),
+            n_frequent: 0,
+            n_tuples: batch.n_rows(),
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::ProvenanceSink;
+    use crate::runner::{run, run_with_obs, SHAP_BASE_SAMPLES};
+    use shahin_explain::{
+        AnchorExplainer, KernelShapExplainer, LimeExplainer, LimeParams, ShapParams,
+    };
     use shahin_model::MajorityClass;
-    use shahin_tabular::{train_test_split, DatasetPreset};
+    use shahin_tabular::{train_test_split, DatasetPreset, Feature};
+    use std::sync::Arc;
 
     fn setup(seed: u64) -> (ExplainContext, CountingClassifier<MajorityClass>, Dataset) {
         let (data, labels) = DatasetPreset::Recidivism.spec(0.05).generate(seed);
@@ -524,14 +182,17 @@ mod tests {
         (ctx, clf, split.test.select(&rows))
     }
 
+    fn lime(n_samples: usize) -> ExplainerKind {
+        ExplainerKind::Lime(LimeExplainer::new(LimeParams {
+            n_samples,
+            ..Default::default()
+        }))
+    }
+
     #[test]
     fn sequential_lime_costs_n_per_tuple() {
         let (ctx, clf, batch) = setup(0);
-        let lime = LimeExplainer::new(shahin_explain::LimeParams {
-            n_samples: 50,
-            ..Default::default()
-        });
-        let res = sequential_lime(&ctx, &clf, &batch, &lime, 3);
+        let res = run(&Method::Sequential, &lime(50), &ctx, &clf, &batch, 3);
         assert_eq!(res.metrics.invocations, 50 * batch.n_rows() as u64);
         assert_eq!(res.explanations.len(), batch.n_rows());
     }
@@ -539,15 +200,18 @@ mod tests {
     #[test]
     fn dist_k_matches_sequential_results() {
         let (ctx, clf, batch) = setup(1);
-        let lime = LimeExplainer::new(shahin_explain::LimeParams {
-            n_samples: 50,
-            ..Default::default()
-        });
-        let seq = sequential_lime(&ctx, &clf, &batch, &lime, 5);
-        let dist = dist_k_lime(&ctx, &clf, &batch, &lime, 4, 5);
+        let seq = run(&Method::Sequential, &lime(50), &ctx, &clf, &batch, 5);
+        let dist = run(&Method::Dist(4), &lime(50), &ctx, &clf, &batch, 5);
         // Same per-tuple seeds → identical explanations regardless of the
         // thread split.
-        assert_eq!(seq.explanations, dist.explanations);
+        let weights = |r: &RunReport| {
+            r.explanations
+                .iter()
+                .map(|e| e.weights().cloned())
+                .collect()
+        };
+        let (seq_w, dist_w): (Vec<_>, Vec<_>) = (weights(&seq), weights(&dist));
+        assert_eq!(seq_w, dist_w);
         assert_eq!(seq.metrics.invocations, dist.metrics.invocations);
     }
 
@@ -576,12 +240,14 @@ mod tests {
     #[test]
     fn greedy_lime_saves_invocations_over_sequential() {
         let (ctx, clf, batch) = setup(2);
-        let lime = LimeExplainer::new(shahin_explain::LimeParams {
-            n_samples: 100,
-            ..Default::default()
-        });
-        let greedy = Greedy::new(usize::MAX);
-        let res = greedy.explain_lime(&ctx, &clf, &batch, &lime, 7);
+        let res = run(
+            &Method::Greedy(usize::MAX),
+            &lime(100),
+            &ctx,
+            &clf,
+            &batch,
+            7,
+        );
         let seq_cost = 100 * batch.n_rows() as u64;
         assert!(
             res.metrics.invocations < seq_cost,
@@ -594,27 +260,23 @@ mod tests {
     #[test]
     fn greedy_budget_bounds_cache() {
         let (ctx, clf, batch) = setup(3);
-        let lime = LimeExplainer::new(shahin_explain::LimeParams {
-            n_samples: 50,
-            ..Default::default()
-        });
         let budget = 8 * 1024;
-        let greedy = Greedy::new(budget);
-        let res = greedy.explain_lime(&ctx, &clf, &batch, &lime, 9);
+        let res = run(&Method::Greedy(budget), &lime(50), &ctx, &clf, &batch, 9);
+        assert!(res.metrics.store_bytes > 0);
         assert!(res.metrics.store_bytes <= budget);
     }
 
     #[test]
     fn greedy_shap_runs() {
         let (ctx, clf, batch) = setup(4);
-        let shap = KernelShapExplainer::new(shahin_explain::ShapParams {
+        let shap = ExplainerKind::Shap(KernelShapExplainer::new(ShapParams {
             n_samples: 64,
             ..Default::default()
-        });
-        let greedy = Greedy::new(usize::MAX);
-        let res = greedy.explain_shap(&ctx, &clf, &batch, &shap, 20, 11);
+        }));
+        let res = run(&Method::Greedy(usize::MAX), &shap, &ctx, &clf, &batch, 11);
         assert_eq!(res.explanations.len(), batch.n_rows());
         for e in &res.explanations {
+            let e = e.weights().unwrap();
             let total: f64 = e.weights.iter().sum();
             assert!((total - (e.local_prediction - e.intercept)).abs() < 1e-6);
         }
@@ -630,20 +292,54 @@ mod tests {
             }
         }
         let clf = CountingClassifier::new(Key);
-        let anchor = AnchorExplainer::default();
-        let greedy = Greedy::new(usize::MAX);
-        let res = greedy.explain_anchor(&ctx, &clf, &batch, &anchor, 13);
+        let anchor = ExplainerKind::Anchor(AnchorExplainer::default());
+        let res = run(&Method::Greedy(usize::MAX), &anchor, &ctx, &clf, &batch, 13);
         assert_eq!(res.explanations.len(), batch.n_rows());
         // Later tuples benefit from earlier counts, so the average cost per
         // tuple must be lower than an isolated run's.
         let iso_clf = CountingClassifier::new(Key);
         let one = batch.select(&[batch.n_rows() - 1]);
-        let _ = sequential_anchor(&ctx, &iso_clf, &one, &anchor, 13);
+        let _ = run(&Method::Sequential, &anchor, &ctx, &iso_clf, &one, 13);
         let avg = res.metrics.invocations as f64 / batch.n_rows() as f64;
         assert!(
             avg < 1.5 * iso_clf.invocations() as f64 + 200.0,
             "no count reuse visible: avg {avg} vs isolated {}",
             iso_clf.invocations()
         );
+    }
+
+    /// Every baseline tuple goes through the kernel, so it leaves one
+    /// provenance record, and the records bill every invocation of the
+    /// run except SHAP's base value.
+    #[test]
+    fn every_baseline_tuple_leaves_one_provenance_record() {
+        let (ctx, clf, batch) = setup(6);
+        let shap = ExplainerKind::Shap(KernelShapExplainer::new(ShapParams {
+            n_samples: 48,
+            ..Default::default()
+        }));
+        for method in [
+            Method::Sequential,
+            Method::Dist(2),
+            Method::Greedy(usize::MAX),
+        ] {
+            for (kind, base) in [(lime(60), 0), (shap.clone(), SHAP_BASE_SAMPLES as u64)] {
+                let reg = MetricsRegistry::new();
+                let sink = Arc::new(ProvenanceSink::new());
+                reg.attach_provenance_sink(Arc::clone(&sink));
+                let report = run_with_obs(&method, &kind, &ctx, &clf, &batch, 7, &reg);
+                let records = sink.records();
+                let what = format!("{} {}", method.name(), kind.name());
+                let tuples: Vec<u32> = records.iter().map(|r| r.tuple).collect();
+                assert_eq!(
+                    tuples,
+                    (0..batch.n_rows() as u32).collect::<Vec<_>>(),
+                    "{what}"
+                );
+                assert!(records.iter().all(|r| *r.method == method.name()), "{what}");
+                let billed: u64 = records.iter().map(|r| r.invocations).sum();
+                assert_eq!(billed + base, report.metrics.invocations, "{what}");
+            }
+        }
     }
 }

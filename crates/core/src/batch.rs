@@ -160,7 +160,7 @@ impl ShahinBatch {
             explainer: &explainer,
             ctx,
             clf,
-            caches: &caches,
+            caches: Some(&caches),
             base,
             seed,
         };

@@ -14,10 +14,16 @@
 //!   [`crate::ShahinStreaming`] uses the LRU-touching
 //!   [`PerturbationStore::matching_stats`], because its evictions depend
 //!   on it, and hands over its warm-up cache (`Pool::loose`) before the
-//!   first refresh.
+//!   first refresh. The [`crate::baseline`]s reuse nothing (`Pool::empty`)
+//!   or, for Greedy, only their LRU cache (`Pool::loose`).
+//! * **Whether Anchor shares evidence across tuples.** With
+//!   [`SharedAnchorCaches`] a rule's precision counts and coverage carry
+//!   from tuple to tuple; without them (Sequential, Dist-k) every tuple
+//!   runs plain Anchor.
 //! * **How rows are scheduled.** Contiguous blocks claimed by worker
-//!   threads (`parallel::in_chunks`), strictly in order for a stream, one
-//!   request at a time for a serve worker.
+//!   threads (`parallel::in_chunks`), strictly in order for a stream or a
+//!   baseline, in timed shards for Dist-k, one request at a time for a
+//!   serve worker.
 //!
 //! A tuple's RNG stream is [`per_tuple_seed`]`(run seed, row)` and the
 //! shared state is only read (or, for Anchor's caches, published to under
@@ -28,15 +34,16 @@
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-use shahin_explain::{ExplainContext, FeatureWeights, ReuseStats};
+use shahin_explain::{ExplainContext, FeatureWeights, FreshRuleSampler, LabeledSample, ReuseStats};
 use shahin_fim::MatchScratch;
-use shahin_model::Classifier;
+use shahin_model::{Classifier, CountingClassifier};
 use shahin_tabular::Feature;
 
-use crate::anchor_cache::{CachingRuleSampler, SharedAnchorCaches};
+use crate::anchor_cache::{CachingRuleSampler, SamplerStats, SharedAnchorCaches};
 use crate::greedy_cache::TaggedLruCache;
 use crate::obs::{
     names, Histogram, Lineage, MetricsRegistry, ProvenanceCtx, StageSpan, TraceCounters,
@@ -52,8 +59,9 @@ pub(crate) struct Kernel<'a, C> {
     pub(crate) explainer: &'a ExplainerKind,
     pub(crate) ctx: &'a ExplainContext,
     pub(crate) clf: &'a C,
-    /// Anchor's invariant precision and coverage caches.
-    pub(crate) caches: &'a SharedAnchorCaches,
+    /// Anchor's invariant precision and coverage caches, shared by every
+    /// tuple of the run; `None` runs plain Anchor on each tuple.
+    pub(crate) caches: Option<&'a SharedAnchorCaches>,
     /// KernelSHAP's base value, estimated once per run.
     pub(crate) base: f64,
     /// The run seed every tuple's RNG stream is derived from.
@@ -71,7 +79,8 @@ pub(crate) struct Tuple<'a> {
 }
 
 /// What a tuple can reuse, as its driver fetched it: the store's samples
-/// of the matched itemsets and, in streaming warm-up, the warm-up cache.
+/// of the matched itemsets and, in streaming warm-up and Greedy, an LRU
+/// cache.
 pub(crate) struct Pool<'s> {
     store: &'s PerturbationStore,
     matched: Vec<u32>,
@@ -93,15 +102,23 @@ impl<'s> Pool<'s> {
         }
     }
 
-    /// Streaming before its first refresh: no itemset store yet, only
-    /// what the warm-up cache holds for the tuple.
-    pub(crate) fn loose(cache: &'s mut TaggedLruCache) -> Pool<'s> {
+    /// Nothing to reuse: an empty itemset store and no cache.
+    pub(crate) fn empty() -> Pool<'s> {
         static EMPTY: OnceLock<PerturbationStore> = OnceLock::new();
         Pool {
             store: EMPTY.get_or_init(|| PerturbationStore::new(Vec::new(), 0)),
             matched: Vec::new(),
             lookup: LookupStats::default(),
+            loose: None,
+        }
+    }
+
+    /// No itemset store, only what an LRU cache holds for the tuple:
+    /// streaming before its first refresh, and Greedy.
+    pub(crate) fn loose(cache: &'s mut TaggedLruCache) -> Pool<'s> {
+        Pool {
             loose: Some(cache),
+            ..Pool::empty()
         }
     }
 }
@@ -198,11 +215,31 @@ impl<C: Classifier> Kernel<'_, C> {
                     let stage_t = trace.start();
                     let target = clf.predict(t.instance);
                     trace.push("classify", stage_t, |c| c.invocations = 1);
-                    let mut sampler =
-                        CachingRuleSampler::new(ctx, clf, store, &matched, self.caches, seed);
                     let stage_t = trace.start();
-                    let explanation = anchor.explain_with_sampler(t.codes, target, &mut sampler);
-                    let stats = sampler.stats();
+                    let (explanation, stats) = match self.caches {
+                        Some(caches) => {
+                            let mut sampler =
+                                CachingRuleSampler::new(ctx, clf, store, &matched, caches, seed);
+                            let e = anchor.explain_with_sampler(t.codes, target, &mut sampler);
+                            (e, sampler.stats())
+                        }
+                        None => {
+                            // Plain Anchor, seeded as `AnchorExplainer::explain`
+                            // seeds its sampler.
+                            let counted = CountingClassifier::new(clf);
+                            let sampler_seed = StdRng::seed_from_u64(seed).gen();
+                            let mut sampler = FreshRuleSampler::new(ctx, &counted, sampler_seed);
+                            let e = anchor.explain_with_sampler(t.codes, target, &mut sampler);
+                            let fresh = counted.invocations();
+                            (
+                                e,
+                                SamplerStats {
+                                    fresh,
+                                    ..Default::default()
+                                },
+                            )
+                        }
+                    };
                     trace.push("explain", stage_t, |c| {
                         c.samples_reused = stats.reused;
                         c.samples_fresh = stats.fresh;
@@ -234,6 +271,69 @@ impl<C: Classifier> Kernel<'_, C> {
             });
             (explanation, degraded)
         })
+    }
+}
+
+/// Wraps a classifier and records every invocation as a discretized
+/// [`LabeledSample`], so Greedy and the streaming driver can keep
+/// whatever perturbations the (unmodified) explainer happened to generate.
+///
+/// A row is logged only once its dispatch returns. The explainers label a
+/// tuple's fresh rows in one flat dispatch, so a dispatch that panics logs
+/// none of its rows, not the rows before the one that panicked.
+pub(crate) struct RecordingClassifier<'a, C> {
+    inner: &'a C,
+    ctx: &'a ExplainContext,
+    /// `None` when recording is off: calls pass straight through.
+    log: Option<Mutex<Vec<LabeledSample>>>,
+}
+
+impl<'a, C: Classifier> RecordingClassifier<'a, C> {
+    pub(crate) fn new(inner: &'a C, ctx: &'a ExplainContext, record: bool) -> Self {
+        RecordingClassifier {
+            inner,
+            ctx,
+            log: record.then(|| Mutex::new(Vec::new())),
+        }
+    }
+
+    /// The samples recorded since the last call, in call order.
+    pub(crate) fn take_log(&self) -> Vec<LabeledSample> {
+        self.log
+            .as_ref()
+            .map(|log| std::mem::take(&mut *log.lock()))
+            .unwrap_or_default()
+    }
+}
+
+impl<C: Classifier> Classifier for RecordingClassifier<'_, C> {
+    fn predict_proba(&self, instance: &[Feature]) -> f64 {
+        let proba = self.inner.predict_proba(instance);
+        if let Some(log) = &self.log {
+            let codes = self.ctx.discretizer().encode_instance(instance);
+            log.lock().push(LabeledSample {
+                codes: codes.into_boxed_slice(),
+                proba,
+            });
+        }
+        proba
+    }
+
+    /// One dispatch to the inner classifier, then the rows are recorded in
+    /// row order: the same log as one call per row.
+    fn predict_proba_flat(&self, rows: &[Feature], n_attrs: usize) -> Vec<f64> {
+        let probas = self.inner.predict_proba_flat(rows, n_attrs);
+        if let (Some(log), true) = (&self.log, n_attrs > 0) {
+            let mut log = log.lock();
+            for (row, &proba) in rows.chunks_exact(n_attrs).zip(&probas) {
+                let codes = self.ctx.discretizer().encode_instance(row);
+                log.push(LabeledSample {
+                    codes: codes.into_boxed_slice(),
+                    proba,
+                });
+            }
+        }
+        probas
     }
 }
 
@@ -360,6 +460,9 @@ mod tests {
         let rows: Vec<usize> = (0..40).collect();
         let batch = split.test.select(&rows);
         let methods = [
+            Method::Sequential,
+            // Warm-up cache lookups only.
+            Method::Greedy(usize::MAX),
             Method::Batch(BatchConfig::default()),
             Method::BatchParallel(BatchConfig {
                 n_threads: Some(4),

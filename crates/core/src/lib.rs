@@ -24,10 +24,11 @@
 //!    under a memory budget with LRU eviction and periodic frequent-itemset
 //!    (plus negative-border) refresh.
 //!
-//! Baselines from the paper's evaluation — [`baseline::sequential_lime`],
-//! Dist-k thread parallelism, and the Greedy LRU cache — live in
-//! [`baseline`], and [`runner`] provides the measurement harness used by
-//! every experiment.
+//! Baselines from the paper's evaluation — Sequential, Dist-k and the
+//! Greedy LRU cache — live in [`baseline`] as configurations of that same
+//! kernel (an empty pool, or Greedy's cache), and [`runner`] provides the
+//! measurement harness used by every experiment ([`Method`] picks the
+//! approach).
 //!
 //! # Quick start
 //!

@@ -34,7 +34,7 @@ pub struct RunMetrics {
     pub invocations: u64,
     /// End-to-end wall-clock time.
     pub wall: Duration,
-    /// Overhead breakdown (zero for baselines).
+    /// Overhead breakdown (only retrieval for the baselines).
     pub overhead: OverheadBreakdown,
     /// Peak bytes resident in the perturbation store.
     pub store_bytes: usize,

@@ -9,10 +9,7 @@ use shahin_explain::{
 use shahin_model::{Classifier, CountingClassifier};
 use shahin_tabular::Dataset;
 
-use crate::baseline::{
-    dist_k_anchor, dist_k_lime, dist_k_shap, sequential_anchor, sequential_lime, sequential_shap,
-    Greedy,
-};
+use crate::baseline;
 use crate::batch::ShahinBatch;
 use crate::config::{BatchConfig, StreamingConfig};
 use crate::metrics::{BatchReport, BatchResult, RunMetrics};
@@ -152,26 +149,6 @@ pub struct RunReport {
     pub report: BatchReport,
 }
 
-fn wrap_weights(r: BatchResult<FeatureWeights>) -> RunReport {
-    RunReport {
-        metrics: r.metrics,
-        explanations: r
-            .explanations
-            .into_iter()
-            .map(Explanation::Weights)
-            .collect(),
-        report: r.report,
-    }
-}
-
-fn wrap_rules(r: BatchResult<AnchorExplanation>) -> RunReport {
-    RunReport {
-        metrics: r.metrics,
-        explanations: r.explanations.into_iter().map(Explanation::Rule).collect(),
-        report: r.report,
-    }
-}
-
 impl RunReport {
     /// The run's explanations as LIME / SHAP weight vectors.
     pub(crate) fn into_weights(self) -> BatchResult<FeatureWeights> {
@@ -221,12 +198,13 @@ pub fn run<C: Classifier>(
 /// [`run`], recording spans, counters and gauges into `obs` (see
 /// [`crate::obs`] for the name schema). The full standard schema is
 /// pre-registered, so a snapshot taken afterwards carries every key even
-/// for phases this (method, explainer) combination never enters. Baseline
-/// methods (Sequential/Dist/Greedy) have no instrumented phases; only the
-/// pre-registered zero values appear for them. To also capture classifier
-/// latency histograms, wrap the model in a
-/// [`shahin_model::TracedClassifier`] bound to the same registry.
-#[allow(clippy::too_many_arguments)]
+/// for phases this (method, explainer) combination never enters. Every
+/// method explains its tuples through the one per-tuple [`crate::kernel`],
+/// so the baselines (Sequential, Dist-k, Greedy) record the same per-tuple
+/// spans and provenance as Shahin's drivers; they have no mining or
+/// materialization phases. To also capture classifier latency histograms,
+/// wrap the model in a [`shahin_model::TracedClassifier`] bound to the
+/// same registry.
 pub fn run_with_obs<C: Classifier>(
     method: &Method,
     kind: &ExplainerKind,
@@ -237,35 +215,11 @@ pub fn run_with_obs<C: Classifier>(
     obs: &MetricsRegistry,
 ) -> RunReport {
     register_standard(obs);
-    let report = match (method, kind) {
-        (Method::Sequential, ExplainerKind::Lime(e)) => {
-            wrap_weights(sequential_lime(ctx, clf, batch, e, seed))
+    let report = match method {
+        Method::Sequential | Method::Dist(_) | Method::Greedy(_) => {
+            baseline::explain(method, kind, ctx, clf, batch, seed, obs)
         }
-        (Method::Sequential, ExplainerKind::Anchor(e)) => {
-            wrap_rules(sequential_anchor(ctx, clf, batch, e, seed))
-        }
-        (Method::Sequential, ExplainerKind::Shap(e)) => {
-            wrap_weights(sequential_shap(ctx, clf, batch, e, SHAP_BASE_SAMPLES, seed))
-        }
-        (Method::Dist(k), ExplainerKind::Lime(e)) => {
-            wrap_weights(dist_k_lime(ctx, clf, batch, e, *k, seed))
-        }
-        (Method::Dist(k), ExplainerKind::Anchor(e)) => {
-            wrap_rules(dist_k_anchor(ctx, clf, batch, e, *k, seed))
-        }
-        (Method::Dist(k), ExplainerKind::Shap(e)) => {
-            wrap_weights(dist_k_shap(ctx, clf, batch, e, SHAP_BASE_SAMPLES, *k, seed))
-        }
-        (Method::Greedy(budget), ExplainerKind::Lime(e)) => {
-            wrap_weights(Greedy::new(*budget).explain_lime(ctx, clf, batch, e, seed))
-        }
-        (Method::Greedy(budget), ExplainerKind::Anchor(e)) => {
-            wrap_rules(Greedy::new(*budget).explain_anchor(ctx, clf, batch, e, seed))
-        }
-        (Method::Greedy(budget), ExplainerKind::Shap(e)) => wrap_weights(
-            Greedy::new(*budget).explain_shap(ctx, clf, batch, e, SHAP_BASE_SAMPLES, seed),
-        ),
-        (Method::Batch(cfg) | Method::BatchParallel(cfg), _) => {
+        Method::Batch(cfg) | Method::BatchParallel(cfg) => {
             ShahinBatch::new(cfg.clone()).with_obs(obs).explain(
                 ctx,
                 clf,
@@ -275,7 +229,7 @@ pub fn run_with_obs<C: Classifier>(
                 matches!(method, Method::BatchParallel(_)),
             )
         }
-        (Method::Streaming(cfg), _) => ShahinStreaming::new(cfg.clone())
+        Method::Streaming(cfg) => ShahinStreaming::new(cfg.clone())
             .with_obs(obs)
             .explain(ctx, clf, batch, kind, seed),
     };

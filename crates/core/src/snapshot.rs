@@ -19,7 +19,7 @@
 //! Everything is little-endian; payloads are raw contiguous vector dumps
 //! (a length prefix, then elements) in the style of the typed-vector
 //! `load_from`/`write_to` io of route-planning engines. Sections appear
-//! in a fixed order: [`TAG_META`], [`TAG_STORE`], [`TAG_CACHES`].
+//! in a fixed order: `TAG_META`, `TAG_STORE`, `TAG_CACHES`.
 //!
 //! **Validation order on load**: magic → format version → config
 //! fingerprint → per-section framing (a length running past the buffer is
@@ -30,7 +30,7 @@
 //! snapshot must never panic, and never serve.
 //!
 //! Writes never go through this module directly: callers serialize with
-//! [`SnapshotWriter`] and persist via `shahin_obs::write_atomic`
+//! `SnapshotWriter` and persist via `shahin_obs::write_atomic`
 //! (temp file + fsync + rename), so a crash mid-snapshot leaves the last
 //! good file untouched.
 //!

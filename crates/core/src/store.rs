@@ -231,7 +231,7 @@ impl PerturbationStore {
     /// worker threads claiming blocks of itemsets (`parallel::in_chunks`),
     /// deterministically: itemset `id`'s samples come from
     /// an RNG stream seeded by `(seed, id)` ([`per_itemset_seed`]), the
-    /// per-itemset sample counts are fixed up front by [`Self::fill_plan`],
+    /// per-itemset sample counts are fixed up front by `Self::fill_plan`,
     /// and workers' results are merged in itemset order — so the resulting
     /// store (samples, byte accounting, classifier invocation count) is
     /// bit-identical for every thread count, including 1.

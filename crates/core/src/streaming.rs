@@ -27,11 +27,10 @@ use shahin_model::{Classifier, CountingClassifier};
 use shahin_tabular::{Dataset, DiscreteTable};
 
 use crate::anchor_cache::SharedAnchorCaches;
-use crate::baseline::RecordingClassifier;
 use crate::batch::estimate_base_value_guarded;
 use crate::config::StreamingConfig;
 use crate::greedy_cache::TaggedLruCache;
-use crate::kernel::{Kernel, Pool, Tuple, TupleWorker};
+use crate::kernel::{Kernel, Pool, RecordingClassifier, Tuple, TupleWorker};
 use crate::metrics::{BatchResult, OverheadBreakdown, RunMetrics};
 use crate::obs::{names, ProvenanceCtx};
 use crate::quarantine::collect_outcomes;
@@ -356,7 +355,7 @@ impl ShahinStreaming {
             explainer: &explainer,
             ctx,
             clf: &recorder,
-            caches: &caches,
+            caches: Some(&caches),
             base,
             seed,
         };

@@ -572,7 +572,7 @@ impl<C: Classifier> WarmEngine<C> {
             explainer: &self.explainer,
             ctx: &self.ctx,
             clf: &self.clf,
-            caches: &self.caches,
+            caches: Some(&self.caches),
             base: self.base,
             seed: self.seed,
         };

@@ -73,10 +73,11 @@ impl LimeExplainer {
     /// Explains one prediction, pooling `reused` pre-labeled samples first
     /// and topping up with fresh perturbations to reach `N` total samples.
     ///
-    /// Reused samples whose frozen itemset is contained in the instance are
-    /// distributed identically to fresh LIME perturbations conditioned on
-    /// those attributes matching (paper §3.6), so this changes neither the
-    /// surrogate's input distribution nor the explanation semantics.
+    /// A row drawn with itemset `f` frozen is an exact sample for a query
+    /// that draws its own frozen set `S` iff `f ⊆ S` and the row agrees
+    /// with the tuple on `S`. LIME's `S` is ∅, so only rows drawn with
+    /// nothing frozen are exact LIME perturbations; a frozen-itemset row
+    /// is not, however well it matches the instance (DESIGN §5).
     pub fn explain_with_reused<'a>(
         &self,
         ctx: &ExplainContext,

@@ -172,7 +172,7 @@ pub fn labeled_perturbation(
 /// `(drawn, positive)`, where `positive` counts probabilities `>= 0.5`.
 /// This is every Anchor rule sampler's draw.
 ///
-/// The rows come from [`push_perturbation`], so the RNG is consumed exactly
+/// The rows come from `push_perturbation`, so the RNG is consumed exactly
 /// as by `k` calls to [`labeled_perturbation`]. They are packed into
 /// `rows`, caller-owned scratch that is cleared first and reused from draw
 /// to draw; no codes are kept. `k == 0` makes no classifier call.

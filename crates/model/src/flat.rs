@@ -30,7 +30,7 @@
 //! - [`FlatForest::predict_proba`] (one row) walks each tree with an early
 //!   exit at the leaf.
 //! - [`FlatForest::predict_chunk`] (many rows) converts the chunk's
-//!   features to `f64` once, then walks a group of [`LANES`] rows through
+//!   features to `f64` once, then walks a group of `LANES` rows through
 //!   each tree together for exactly the tree's `depth` steps. A step is
 //!   branchless: both the `==` and the `<` test are computed and one is
 //!   chosen arithmetically, and a leaf keeps its own index, so rows that
@@ -230,7 +230,7 @@ impl FlatForest {
 
     /// Writes the mean tree probability of row `i` of the flat row-major
     /// buffer into `out[i]` (overwriting it). Rows go through the trees
-    /// [`LANES`] at a time; a short last group repeats its last row in the
+    /// `LANES` at a time; a short last group repeats its last row in the
     /// spare lanes and drops their results. Each row still sums its trees
     /// in tree order and divides (not multiplies by a reciprocal), so every
     /// result is bit-identical to [`Self::predict_proba`].

@@ -98,7 +98,7 @@ impl RandomForest {
 
     /// [`Classifier::predict_proba_flat`] with an explicit worker count
     /// (clamped so each worker gets at least
-    /// [`Self::MIN_ROWS_PER_WORKER`] rows). Row order — and hence the
+    /// `Self::MIN_ROWS_PER_WORKER` rows). Row order — and hence the
     /// output — is independent of the worker count.
     pub fn predict_flat_with(&self, rows: &[Feature], n_attrs: usize, workers: usize) -> Vec<f64> {
         if n_attrs == 0 {

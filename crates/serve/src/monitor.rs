@@ -13,7 +13,7 @@
 //! never observes a torn document). The monitor is also the sole
 //! warm-snapshot writer: periodic `--snapshot-interval-ms` snapshots,
 //! on-demand ones (admin `snapshot` frame, SIGUSR1), and a final
-//! at-drain snapshot, all through [`take_snapshot`].
+//! at-drain snapshot, all through `take_snapshot`.
 //!
 //! The thread is owned by the server: [`crate::Server::start`] spawns
 //! it and [`crate::ServerHandle::wait`] joins it. It exits after the

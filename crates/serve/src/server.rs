@@ -34,7 +34,7 @@
 //! served by the rest.
 //!
 //! Readers never touch the engine; workers never touch sockets except
-//! through each request's [`Conn`] handle (a mutex-wrapped writer shared
+//! through each request's `Conn` handle (a mutex-wrapped writer shared
 //! with the reader and the other workers, so pong/error frames and
 //! served explanations interleave without tearing). Shutdown — admin
 //! frame, watched signal, or [`ServerHandle::shutdown`] — closes the

@@ -8,8 +8,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use shahin::baseline::sequential_lime;
-use shahin::{BatchConfig, ShahinBatch};
+use shahin::{run, BatchConfig, ExplainerKind, Method, ShahinBatch};
 use shahin_explain::{ExplainContext, LimeExplainer, LimeParams};
 use shahin_model::{CountingClassifier, ForestParams, RandomForest};
 use shahin_tabular::{train_test_split, DatasetPreset};
@@ -50,17 +49,18 @@ fn main() {
         ..Default::default()
     });
 
-    let seq = sequential_lime(&ctx, &clf, &batch, &lime, seed);
+    let kind = ExplainerKind::Lime(lime.clone());
+    let seq = run(&Method::Sequential, &kind, &ctx, &clf, &batch, seed);
     let shahin = ShahinBatch::new(BatchConfig::default());
     let opt = shahin.explain_lime(&ctx, &clf, &batch, &lime, seed);
 
     println!("\nmethod           invocations   wall      per-tuple");
-    for (name, r) in [("sequential", &seq), ("shahin-batch", &opt)] {
+    for (name, m) in [("sequential", &seq.metrics), ("shahin-batch", &opt.metrics)] {
         println!(
             "{name:<16} {:>11}   {:>7.2}s  {:.4}s",
-            r.metrics.invocations,
-            r.metrics.wall.as_secs_f64(),
-            r.metrics.per_tuple_secs()
+            m.invocations,
+            m.wall.as_secs_f64(),
+            m.per_tuple_secs()
         );
     }
     println!(

@@ -13,8 +13,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use shahin::baseline::sequential_shap;
-use shahin::{ShahinStreaming, StreamingConfig};
+use shahin::{run, ExplainerKind, Method, ShahinStreaming, StreamingConfig};
 use shahin_explain::{ExplainContext, KernelShapExplainer, ShapParams};
 use shahin_model::{CountingClassifier, ForestParams, RandomForest};
 use shahin_tabular::{train_test_split, DatasetPreset};
@@ -44,7 +43,8 @@ fn main() {
     });
 
     // Baseline: every request handled from scratch.
-    let seq = sequential_shap(&ctx, &clf, &stream, &shap, 64, seed);
+    let kind = ExplainerKind::Shap(shap.clone());
+    let seq = run(&Method::Sequential, &kind, &ctx, &clf, &stream, seed);
 
     // Streaming Shahin with a 4 MB repository, refreshed every 100 tuples.
     let streaming = ShahinStreaming::new(StreamingConfig {
@@ -59,11 +59,14 @@ fn main() {
         stream.n_rows()
     );
     println!("method              invocations   inv/request");
-    for (name, r) in [("from-scratch", &seq), ("shahin-streaming", &opt)] {
+    for (name, m) in [
+        ("from-scratch", &seq.metrics),
+        ("shahin-streaming", &opt.metrics),
+    ] {
         println!(
             "{name:<18} {:>12}   {:>8.1}",
-            r.metrics.invocations,
-            r.metrics.invocations_per_tuple()
+            m.invocations,
+            m.invocations_per_tuple()
         );
     }
     println!(

@@ -4,13 +4,11 @@
 //! in the same order, the same positives come back, and the sampler's RNG
 //! is left where the `k` single draws leave it.
 
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use shahin::baseline::GreedyRuleSampler;
 use shahin::{CachingRuleSampler, PerturbationStore, SharedAnchorCaches};
 use shahin_explain::{labeled_perturbation, ExplainContext, FreshRuleSampler, RuleSampler};
 use shahin_fim::{Item, Itemset};
@@ -128,9 +126,7 @@ fn every_anchor_sampler_draw_is_k_single_labeled_perturbations() {
     let mut caching = CachingRuleSampler::new(&ctx, &clf, &store, &[], &caches, seed);
     assert_draws_are_single_draws("caching", &ctx, &clf, seed, &mut caching);
     assert_eq!(caching.stats().fresh, 61);
-
-    let mut counts = HashMap::new();
-    let mut greedy = GreedyRuleSampler::new(&ctx, &clf, &mut counts, seed);
-    assert_draws_are_single_draws("greedy", &ctx, &clf, seed, &mut greedy);
-    assert_eq!(greedy.prior(&Itemset::new(vec![])).0, 21);
+    // Over an empty store (Greedy's path) a rule's prior is exactly the
+    // evidence drawn for it so far: 13 + 8 rows of the empty rule.
+    assert_eq!(caching.prior(&Itemset::new(vec![])).0, 21);
 }

@@ -16,7 +16,10 @@
 //! * LIME's and SHAP's explanations under `Batch` and `Streaming`, bit for
 //!   bit, as fingerprints;
 //! * per tuple, LIME and SHAP make one instance probe plus at most one flat
-//!   dispatch for all their fresh rows, and none when every row is reused.
+//!   dispatch for all their fresh rows, and none when every row is reused;
+//! * the paper's baselines: `Sequential` and `Greedy` invocation totals
+//!   and fingerprints under every explainer, and `Dist-2` equal to
+//!   `Sequential`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use shahin::{
-    run_with_obs, BatchConfig, ExplainerKind, Explanation, Method, MetricsRegistry,
+    run_with_obs, BatchConfig, ExplainerKind, Explanation, Greedy, Method, MetricsRegistry,
     PerturbationStore, ProvenanceRecord, ProvenanceSink, RunReport, StoreCoalitionSource,
     StreamingConfig, WarmEngine, WarmOutcome, WarmRequest,
 };
@@ -207,19 +210,63 @@ mod pinned {
     pub const SHAP_BUDGETED: u64 = 2_014;
     pub const LIME_BUDGETED_PRINT: u64 = 0x8da4_c0e5_84ec_6f54;
     pub const SHAP_BUDGETED_PRINT: u64 = 0x83d8_175e_fc31_6435;
+    /// [`super::baselines_keep_their_pinned_bills_and_explanations`]'s
+    /// `(Sequential total, Sequential print, Greedy total, Greedy print,
+    /// Greedy store bytes)` per explainer, measured while every baseline
+    /// still had its own per-tuple body. Anchor runs the first
+    /// [`super::ANCHOR_BASELINE_ROWS`] rows only.
+    pub const LIME_BASELINES: (u64, u64, u64, u64, usize) = (
+        4_000,
+        0xeb53_0395_1f60_bfcc,
+        3_995,
+        0x1814_25b0_64ed_5cf4,
+        67_160,
+    );
+    pub const SHAP_BASELINES: (u64, u64, u64, u64, usize) = (
+        2_664,
+        0x0452_3c33_1e16_6716,
+        2_664,
+        0x0452_3c33_1e16_6716,
+        67_152,
+    );
+    pub const ANCHOR_BASELINES: (u64, u64, u64, u64, usize) = (
+        80_484,
+        0x3188_3124_24c1_f482,
+        40_420,
+        0x5515_30ea_8bf7_32a9,
+        0,
+    );
+}
+
+/// Rows the Anchor baselines explain: a fresh Anchor search per tuple is
+/// the slowest thing this file runs.
+const ANCHOR_BASELINE_ROWS: usize = 20;
+
+/// FNV-1a over `words`' little-endian bytes.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in words.into_iter().flat_map(u64::to_le_bytes) {
+        h = (h ^ u64::from(byte)).wrapping_mul(0x1_0000_01b3);
+    }
+    h
 }
 
 /// FNV-1a over the bit patterns of every weight, intercept and local
 /// prediction, in row order.
 fn fingerprint(explanations: &[Explanation]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in weights(explanations) {
+    fnv1a(weights(explanations).into_iter().flat_map(|w| {
         let values = w.weights.iter().chain([&w.intercept, &w.local_prediction]);
-        for byte in values.flat_map(|v| v.to_bits().to_le_bytes()) {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x1_0000_01b3);
-        }
-    }
-    h
+        values.map(|v| v.to_bits())
+    }))
+}
+
+/// FNV-1a over every rule's item keys and the bit patterns of its
+/// precision and coverage, in row order.
+fn rule_fingerprint(explanations: &[Explanation]) -> u64 {
+    fnv1a(rules(explanations).into_iter().flat_map(|r| {
+        let items = r.rule.items().iter().map(|it| it.key());
+        items.chain([r.precision.to_bits(), r.coverage.to_bits()])
+    }))
 }
 
 fn streaming() -> Method {
@@ -494,5 +541,48 @@ fn each_tuple_labels_its_fresh_rows_in_at_most_one_dispatch() {
             shap.explain_with_counted(&w.ctx, &clf, &instance, 0.5, full, &mut NoSource, &mut rng);
         assert_eq!(stats.fresh, 0);
         assert_one_dispatch(&what("SHAP fully pooled"), &clf, stats);
+    }
+}
+
+/// Sequential, Dist-2 and Greedy: every bill and explanation as pinned,
+/// and Dist-k the same computation as Sequential, only timed per shard.
+#[test]
+fn baselines_keep_their_pinned_bills_and_explanations() {
+    let full = world();
+    let rows: Vec<usize> = (0..ANCHOR_BASELINE_ROWS).collect();
+    let short = World {
+        ctx: full.ctx.clone(),
+        forest: full.forest.clone(),
+        batch: full.batch.select(&rows),
+    };
+    for (w, kind, pins) in [
+        (&full, lime(), pinned::LIME_BASELINES),
+        (&full, shap(), pinned::SHAP_BASELINES),
+        (&short, anchor(), pinned::ANCHOR_BASELINES),
+    ] {
+        let print = |report: &RunReport| match kind {
+            ExplainerKind::Anchor(_) => rule_fingerprint(&report.explanations),
+            _ => fingerprint(&report.explanations),
+        };
+        let (seq, _) = driver(w, &Method::Sequential, &kind);
+        let (dist, _) = driver(w, &Method::Dist(2), &kind);
+        let (greedy, _) = driver(w, &Method::Greedy(Greedy::default_budget(&w.batch)), &kind);
+        let name = kind.name();
+        let got = (
+            seq.metrics.invocations,
+            print(&seq),
+            greedy.metrics.invocations,
+            print(&greedy),
+            greedy.metrics.store_bytes,
+        );
+        assert_eq!(got, pins, "{name}: {got:#x?}");
+        assert_eq!(print(&dist), print(&seq), "{name} Dist-2");
+        assert_eq!(
+            dist.metrics.invocations, seq.metrics.invocations,
+            "{name} Dist-2"
+        );
+        for report in [&seq, &dist, &greedy] {
+            assert_eq!(report.metrics.n_tuples, w.batch.n_rows(), "{name}");
+        }
     }
 }
